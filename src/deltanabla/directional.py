@@ -6,7 +6,10 @@ for u < 0, the shifted composition u * (y o sigma) or u * (y o rho) feeds
 the state slot, and the derivative slot carries the one-sided directional
 derivative of the trajectory's piecewise-linear extension, which is
 u * y^Delta or u * y^nabla.  Each sign therefore reduces to a plain
-single-term problem, which is how these problems are solved here.
+single-term problem, which is how these problems are solved here.  The
+directional Euler-Lagrange residual is computed on its own from the inner
+L, on the same two-point stencil as the variational terms, at
+(t_e, u * y_s, u * slope).
 """
 
 from __future__ import annotations
@@ -17,12 +20,9 @@ import numpy as np
 
 from .errors import DomainError
 from .timescale import (
-    DomainTag,
     GridFunction,
     TimeScale,
-    delta_derivative,
     delta_integral,
-    nabla_derivative,
     nabla_integral,
     shift_rho,
     shift_sigma,
@@ -32,6 +32,8 @@ from .variational import (
     Solution,
     Term,
     TermSumProblem,
+    _partials,
+    _stencil,
     objective,
     solve,
 )
@@ -96,12 +98,16 @@ def reduced_lagrangian(L: Lagrangian, u: float) -> Lagrangian:
     )
 
 
+def _kind(u: float) -> str:
+    """The term kind a nonzero direction reduces to."""
+    return "delta" if u > 0 else "nabla"
+
+
 def reduced_problem(p: DirectionalProblem) -> TermSumProblem:
     """The single-term delta (u > 0) or nabla (u < 0) problem the
     directional problem reduces to."""
-    kind = "delta" if p.u > 0 else "nabla"
     return TermSumProblem(
-        p.scale, [Term(1.0, reduced_lagrangian(p.L, p.u), kind)], p.alpha, p.beta
+        p.scale, [Term(1.0, reduced_lagrangian(p.L, p.u), _kind(p.u))], p.alpha, p.beta
     )
 
 
@@ -126,49 +132,20 @@ def directional_el_residual(p: DirectionalProblem, y: GridFunction, strict: bool
     if y.scale != ts:
         raise DomainError("trajectory scale differs from the problem scale")
     u = p.u
-    pts = ts.points
-    vals = y.values
-    gaps = ts.gaps()
-    M = len(ts) - 1
-    L = p.L
-
-    if u > 0:
-        shifted = u * vals[1:]           # u * y^sigma on indices 0..M-1
-        slope = u * np.diff(vals) / gaps  # u * y^Delta
-        g = GridFunction(
-            ts.truncated(DomainTag.KAPPA),
-            [L.d3(pts[i], shifted[i], slope[i]) for i in range(M)],
-        )
-        dg = delta_derivative(g)  # on indices 0..M-2
-        resid = np.array(
-            [
-                u * dg.values[i] - u * L.d2(pts[i], shifted[i], slope[i])
-                for i in range(M - 1)
-            ]
-        )
-        wide = GridFunction(ts.truncated(DomainTag.KAPPA_SQUARED), resid)
-    else:
-        shifted = u * vals[:-1]          # u * y^rho on indices 1..M
-        slope = u * np.diff(vals) / gaps  # u * y^nabla
-        g = GridFunction(
-            ts.truncated(DomainTag.KAPPA_SUB),
-            [L.d3(pts[i], shifted[i - 1], slope[i - 1]) for i in range(1, M + 1)],
-        )
-        ng = nabla_derivative(g)  # on indices 2..M
-        resid = np.array(
-            [
-                u * ng.values[i - 2] - u * L.d2(pts[i], shifted[i - 1], slope[i - 1])
-                for i in range(2, M + 1)
-            ]
-        )
-        wide = GridFunction(ts.truncated(DomainTag.KAPPA_SUB_SQUARED), resid)
+    e, s, slope = _stencil(_kind(u), ts, y.values)
+    t_e = ts.points[e]
+    d2, d3 = _partials(p.L, t_e, u * y.values[s], u * slope)
+    # u times the delta (u > 0) or nabla (u < 0) derivative of d3 along the
+    # points t_e, minus u * d2; it lives on t_e truncated once more
+    resid = u * (np.diff(d3) / np.diff(t_e)) - u * d2[e]
+    wide = GridFunction(TimeScale(t_e[e]), resid)
 
     if not strict:
         return wide
-    strict_lo, strict_hi = 2, M - 2  # both twice-truncated domains intersected
+    strict_lo, strict_hi = 2, len(ts) - 3  # both twice-truncated domains intersected
     if strict_hi < strict_lo:
         raise DomainError("the doubly-truncated intersection is empty on this scale")
-    strict_points = pts[strict_lo : strict_hi + 1]
+    strict_points = ts.points[strict_lo : strict_hi + 1]
     strict_vals = [wide.value_at(t) for t in strict_points]
     return GridFunction(TimeScale(strict_points), strict_vals)
 
@@ -198,13 +175,7 @@ def solve_directional(
     except DomainError:
         strict_max = None
     return DirectionalSolution(
-        y=sol.y,
-        objective=sol.objective,
-        residual_el1=sol.residual_el1,
-        residual_el2=sol.residual_el2,
-        certificate=sol.certificate,
-        iterations=sol.iterations,
-        converged=sol.converged,
+        **vars(sol),
         residual_directional=float(np.max(np.abs(wide.values))),
         residual_directional_strict=strict_max,
     )

@@ -10,6 +10,8 @@ the acceptance tests.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .timescale import (
@@ -71,7 +73,17 @@ def _rel(lhs, rhs) -> float:
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return float(np.max(np.abs(lhs - rhs) / scale))
+    err = float(np.max(np.abs(lhs - rhs) / scale))
+    return err if math.isfinite(err) else math.inf  # NaN must not pass
+
+
+def _at_jump(ts: TimeScale, f: GridFunction, t: np.ndarray, step: int) -> np.ndarray:
+    """f at sigma(t) (step 1) or rho(t) (step -1) for points t of ts, looked
+    up in one pass; NaN where the jumped point is off f's domain."""
+    jumped = ts.points[np.clip(np.searchsorted(ts.points, t) + step, 0, len(ts) - 1)]
+    pts = f.scale.points
+    i = np.minimum(np.searchsorted(pts, jumped), len(pts) - 1)
+    return np.where(pts[i] == jumped, f.values[i], np.nan)
 
 
 def _pad_kappa(ts: TimeScale, vals: np.ndarray) -> GridFunction:
@@ -120,10 +132,10 @@ def check_trial(ts: TimeScale, f: GridFunction, g: GridFunction) -> dict[str, fl
         boundary - nabla_integral(_pad_kappa_sub(ts, fn.values * gr.values[1:])),
     )
 
-    # f^nabla(t) = f^Delta(rho(t)) and f^Delta(t) = f^nabla(sigma(t)): the
-    # composed values line up index by index on the truncated domains
-    errs["nabla_from_delta"] = _rel(fn.values, fd.values)
-    errs["delta_from_nabla"] = _rel(fd.values, fn.values)
+    # f^nabla(t) = f^Delta(rho(t)) and f^Delta(t) = f^nabla(sigma(t)), each
+    # over the points of the left-hand derivative's own domain
+    errs["nabla_from_delta"] = _rel(fn.values, _at_jump(ts, fd, fn.scale.points, -1))
+    errs["delta_from_nabla"] = _rel(fd.values, _at_jump(ts, fn, fd.scale.points, 1))
 
     errs["delta_to_nabla"] = _rel(delta_integral(f), nabla_integral(fr))
     errs["nabla_to_delta"] = _rel(nabla_integral(f), delta_integral(fs))

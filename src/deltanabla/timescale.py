@@ -11,6 +11,10 @@ Conventions: sigma(b) = b and rho(a) = a at the endpoints, hence mu(b) = 0
 and nu(a) = 0.  Truncated domains are ordinary time scales again: the delta
 derivative of f lives on the scale with the last point removed, the nabla
 derivative on the scale with the first point removed.
+
+The Dubois-Reymond constraint matrix has one row per hat variation: the
+gaps times the hat's delta or nabla derivative, which is +1 and -1 (up to
+rounding) next to the hat's point and 0 elsewhere.
 """
 
 from __future__ import annotations
@@ -166,9 +170,6 @@ class TimeScale:
                 pts = pts[1:]
         return TimeScale(pts)
 
-    def domain_points(self, tag: DomainTag) -> np.ndarray:
-        return self.truncated(tag).points
-
     @property
     def interior_points(self) -> np.ndarray:
         """Points strictly between a and b."""
@@ -323,37 +324,20 @@ def variation_constraint_matrix(ts: TimeScale, kind: str) -> np.ndarray:
 
     Row j holds the coefficients of the j-th hat variation against the
     values of f on the derivative's domain (the scale minus b for "delta",
-    minus a for "nabla").  The lemma's finite-scale content is that the
-    null space of this matrix is exactly the constants.
+    minus a for "nabla"): the gaps times the hat's derivative, which is +1
+    and -1 (up to rounding) on the two gaps next to the hat's point and 0
+    elsewhere.  The lemma's finite-scale content is that the null space of
+    this matrix is exactly the constants.
     """
     if len(ts) < 3:
         raise DomainError("no interior points, so no admissible variations")
-    n_interior = len(ts) - 2
-    n_domain = len(ts) - 1
-    rows = []
-    for j in range(1, n_interior + 1):
-        eta = hat_variation(ts, j)
-        row = []
-        for k in range(n_domain):
-            unit = np.zeros(n_domain)
-            unit[k] = 1.0
-            row.append(_variation_integral(ts, unit, eta, kind))
-        rows.append(row)
-    return np.array(rows)
-
-
-def _variation_integral(ts: TimeScale, f_domain: np.ndarray, eta: GridFunction, kind: str) -> float:
-    """Integral of f * eta^Delta (delta kind) or f * eta^nabla (nabla kind),
-    with f given by its values on the corresponding derivative domain."""
-    if kind == "delta":
-        eta_d = delta_derivative(eta)
-        product = GridFunction(ts, np.append(f_domain * eta_d.values, 0.0))
-        return delta_integral(product)
-    if kind == "nabla":
-        eta_d = nabla_derivative(eta)
-        product = GridFunction(ts, np.concatenate([[0.0], f_domain * eta_d.values]))
-        return nabla_integral(product)
-    raise ValueError(f"kind must be 'delta' or 'nabla', got {kind!r}")
+    derivative = {"delta": delta_derivative, "nabla": nabla_derivative}.get(kind)
+    if derivative is None:
+        raise ValueError(f"kind must be 'delta' or 'nabla', got {kind!r}")
+    gaps = ts.gaps()
+    return np.array(
+        [gaps * derivative(hat_variation(ts, j)).values for j in range(1, len(ts) - 1)]
+    )
 
 
 @dataclass(frozen=True)
@@ -377,21 +361,9 @@ def dubois_reymond_probe(f: GridFunction, kind: str, tol: float = 1e-10) -> Dubo
     lemma) and is reported through ``witness``.
     """
     ts = f.scale
-    if len(ts) < 3:
-        raise DomainError("no interior points, so no admissible variations")
-    if kind == "delta":
-        domain_values = f.values[:-1]
-    elif kind == "nabla":
-        domain_values = f.values[1:]
-    else:
-        raise ValueError(f"kind must be 'delta' or 'nabla', got {kind!r}")
-
-    integrals = np.array(
-        [
-            _variation_integral(ts, domain_values, hat_variation(ts, j), kind)
-            for j in range(1, len(ts) - 1)
-        ]
-    )
+    matrix = variation_constraint_matrix(ts, kind)
+    domain_values = f.values[:-1] if kind == "delta" else f.values[1:]
+    integrals = matrix @ domain_values
     scale = max(1.0, float(np.max(np.abs(domain_values))))
     all_vanish = bool(np.max(np.abs(integrals)) <= tol * scale)
     spread = float(np.max(domain_values) - np.min(domain_values))

@@ -11,6 +11,14 @@ residuals.  Jointly convex integrands with nonnegative weights upgrade a
 stationary point to a global minimizer; a sampled Hessian check issues
 that certificate.
 
+Every delta term and every nabla term is one two-point stencil,
+sum_i gap_i * L(t_e, y_s, (y_{i+1} - y_i) / gap_i), with (e, s) = (i, i+1)
+for delta and (i+1, i) for nabla.  The objective, the gradient, the first
+variation and the Euler-Lagrange forms are all built from it, so the two
+kinds differ in one place.  The first Euler-Lagrange form at sigma(t)
+equals the second at t: both forms hold the same values on shifted
+domains, and ``residual_el1 == residual_el2``.
+
 The machinery is written for an arbitrary finite list of weighted terms;
 the two-term delta-nabla problem is the m = 2 case.
 """
@@ -18,6 +26,7 @@ the two-term delta-nabla problem is the m = 2 case.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -195,54 +204,56 @@ def _check_scales(p: TermSumProblem, y: GridFunction) -> None:
         raise ScaleMismatchError("trajectory scale differs from the problem scale")
 
 
-def _term_sum(term: Term, ts: TimeScale, y: np.ndarray) -> float:
-    """Weighted integral of one term along the trajectory values y."""
-    p = ts.points
-    gaps = ts.gaps()
-    L = term.lagrangian
-    total = 0.0
-    if term.kind == "delta":
-        for i in range(len(p) - 1):
-            total += gaps[i] * L(p[i], y[i + 1], (y[i + 1] - y[i]) / gaps[i])
-    else:
-        for i in range(1, len(p)):
-            total += gaps[i - 1] * L(p[i], y[i - 1], (y[i] - y[i - 1]) / gaps[i - 1])
-    return term.weight * total
+def _stencil(kind: str, ts: TimeScale, y: np.ndarray) -> tuple[slice, slice, np.ndarray]:
+    """The two-point stencil that every delta and nabla term shares.
+
+    Gap i joins points i and i+1, and a term evaluates its integrand at
+    (t_e, y_s, (y_{i+1} - y_i) / gap_i) with (e, s) = (i, i+1) for a delta
+    term and (e, s) = (i+1, i) for a nabla term.  Returns the slices e and s
+    over the scale points and the slopes, one per gap.  This is the only
+    place where the two kinds differ.
+    """
+    left, right = slice(None, -1), slice(1, None)
+    e, s = (left, right) if kind == "delta" else (right, left)
+    return e, s, np.diff(y) / ts.gaps()
+
+
+def _partials(L: Lagrangian, t: np.ndarray, y: np.ndarray, v: np.ndarray):
+    """d2 and d3 of L along stencil arrays, evaluated on Python floats."""
+    pairs = [(L.d2(*a), L.d3(*a)) for a in zip(t.tolist(), y.tolist(), v.tolist())]
+    d2, d3 = np.array(pairs).T
+    return d2, d3
 
 
 def objective(p: TermSumProblem, y: GridFunction) -> float:
     """Value of the functional at an arbitrary trajectory on the problem's
     scale (boundary values need not match the problem's)."""
     _check_scales(p, y)
-    return sum(_term_sum(term, p.scale, y.values) for term in p.active_terms)
+    ts = p.scale
+    total = 0.0
+    for term in p.active_terms:
+        e, s, slope = _stencil(term.kind, ts, y.values)
+        values = map(term.lagrangian, ts.points[e].tolist(), y.values[s].tolist(), slope.tolist())
+        total += term.weight * sum(map(operator.mul, ts.gaps().tolist(), values))
+    return total
 
 
-def _term_partials(term: Term, ts: TimeScale, y: np.ndarray):
-    """Arrays of partial-derivative values along the trajectory.
+def _el_form(p: TermSumProblem, y: GridFunction) -> np.ndarray:
+    """The mean-subtracted Euler-Lagrange form, one value per gap.
 
-    For a delta term, index i in 0..M-1 evaluates at
-    (t_i, y^sigma(t_i), y^Delta(t_i)); for a nabla term, index i in 1..M at
-    (t_i, y^rho(t_i), y^nabla(t_i)) with slot 0 unused.
+    Each term contributes d3 minus the running integral of d2 up to t_e,
+    which is a delta integral up to t (delta) or a nabla integral up to
+    sigma(t) (nabla), for the gap starting at t.
     """
-    p = ts.points
-    gaps = ts.gaps()
-    L = term.lagrangian
-    M = len(p) - 1
-    if term.kind == "delta":
-        p2 = np.empty(M)
-        p3 = np.empty(M)
-        for i in range(M):
-            args = (p[i], y[i + 1], (y[i + 1] - y[i]) / gaps[i])
-            p2[i] = L.d2(*args)
-            p3[i] = L.d3(*args)
-        return p2, p3
-    p2 = np.zeros(M + 1)
-    p3 = np.zeros(M + 1)
-    for i in range(1, M + 1):
-        args = (p[i], y[i - 1], (y[i] - y[i - 1]) / gaps[i - 1])
-        p2[i] = L.d2(*args)
-        p3[i] = L.d3(*args)
-    return p2, p3
+    _check_scales(p, y)
+    ts = p.scale
+    F = np.zeros(len(ts) - 1)
+    for term in p.active_terms:
+        e, s, slope = _stencil(term.kind, ts, y.values)
+        d2, d3 = _partials(term.lagrangian, ts.points[e], y.values[s], slope)
+        prefix = np.concatenate([[0.0], np.cumsum(ts.gaps() * d2)])
+        F += term.weight * (d3 - prefix[e])
+    return F - np.mean(F)
 
 
 def el_residual_1(p: TermSumProblem, y: GridFunction) -> GridFunction:
@@ -252,25 +263,10 @@ def el_residual_1(p: TermSumProblem, y: GridFunction) -> GridFunction:
     Each delta term contributes d3 at rho(t) minus the delta integral of d2
     up to rho(t); each nabla term contributes d3 at t minus the nabla
     integral of d2 up to t.  At an extremizer the sum is constant, so the
-    mean-subtracted values vanish.
+    mean-subtracted values vanish.  At sigma(t) this form equals the second
+    form at t, so both share one array.
     """
-    _check_scales(p, y)
-    ts = p.scale
-    gaps = ts.gaps()
-    M = len(ts) - 1
-    F = np.zeros(M)  # index j-1 holds the value at t_j, j = 1..M
-    for term in p.active_terms:
-        p2, p3 = _term_partials(term, ts, y.values)
-        if term.kind == "delta":
-            # prefix[k] = integral over [a, t_k)
-            prefix = np.concatenate([[0.0], np.cumsum(gaps * p2)])
-            for j in range(1, M + 1):
-                F[j - 1] += term.weight * (p3[j - 1] - prefix[j - 1])
-        else:
-            prefix = np.concatenate([[0.0], np.cumsum(gaps * p2[1:])])
-            for j in range(1, M + 1):
-                F[j - 1] += term.weight * (p3[j] - prefix[j])
-    return GridFunction(ts.truncated(DomainTag.KAPPA_SUB), F - np.mean(F))
+    return GridFunction(p.scale.truncated(DomainTag.KAPPA_SUB), _el_form(p, y))
 
 
 def el_residual_2(p: TermSumProblem, y: GridFunction) -> GridFunction:
@@ -281,22 +277,7 @@ def el_residual_2(p: TermSumProblem, y: GridFunction) -> GridFunction:
     nabla terms contribute d3 at sigma(t) minus the nabla integral of d2 up
     to sigma(t).
     """
-    _check_scales(p, y)
-    ts = p.scale
-    gaps = ts.gaps()
-    M = len(ts) - 1
-    F = np.zeros(M)  # index j holds the value at t_j, j = 0..M-1
-    for term in p.active_terms:
-        p2, p3 = _term_partials(term, ts, y.values)
-        if term.kind == "delta":
-            prefix = np.concatenate([[0.0], np.cumsum(gaps * p2)])
-            for j in range(M):
-                F[j] += term.weight * (p3[j] - prefix[j])
-        else:
-            prefix = np.concatenate([[0.0], np.cumsum(gaps * p2[1:])])
-            for j in range(M):
-                F[j] += term.weight * (p3[j + 1] - prefix[j + 1])
-    return GridFunction(ts.truncated(DomainTag.KAPPA), F - np.mean(F))
+    return GridFunction(p.scale.truncated(DomainTag.KAPPA), _el_form(p, y))
 
 
 def first_variation(p: TermSumProblem, y: GridFunction, eta: GridFunction) -> float:
@@ -305,20 +286,12 @@ def first_variation(p: TermSumProblem, y: GridFunction, eta: GridFunction) -> fl
     _check_scales(p, y)
     _check_scales(p, eta)
     ts = p.scale
-    gaps = ts.gaps()
     ev = eta.values
-    M = len(ts) - 1
     total = 0.0
     for term in p.active_terms:
-        p2, p3 = _term_partials(term, ts, y.values)
-        acc = 0.0
-        if term.kind == "delta":
-            for i in range(M):
-                acc += gaps[i] * (p2[i] * ev[i + 1] + p3[i] * (ev[i + 1] - ev[i]) / gaps[i])
-        else:
-            for i in range(1, M + 1):
-                acc += gaps[i - 1] * (p2[i] * ev[i - 1] + p3[i] * (ev[i] - ev[i - 1]) / gaps[i - 1])
-        total += term.weight * acc
+        e, s, slope = _stencil(term.kind, ts, y.values)
+        d2, d3 = _partials(term.lagrangian, ts.points[e], y.values[s], slope)
+        total += term.weight * float(ts.gaps() * d2 @ ev[s] + d3 @ np.diff(ev))
     return total
 
 
@@ -328,16 +301,17 @@ def gradient(p: TermSumProblem, y: GridFunction) -> np.ndarray:
     Euler-Lagrange forms."""
     _check_scales(p, y)
     ts = p.scale
-    gaps = ts.gaps()
-    M = len(ts) - 1
-    g = np.zeros(M - 1)
+    g = np.zeros(len(ts) - 2)
     for term in p.active_terms:
-        p2, p3 = _term_partials(term, ts, y.values)
-        for j in range(1, M):
-            if term.kind == "delta":
-                g[j - 1] += term.weight * (gaps[j - 1] * p2[j - 1] + p3[j - 1] - p3[j])
-            else:
-                g[j - 1] += term.weight * (gaps[j] * p2[j + 1] - p3[j + 1] + p3[j])
+        e, s, slope = _stencil(term.kind, ts, y.values)
+        d2, d3 = _partials(term.lagrangian, ts.points[e], y.values[s], slope)
+        # gap * d2 lands on the state point; d3 enters each gap's right end
+        # and leaves its left end
+        full = np.zeros(len(ts))
+        full[s] += ts.gaps() * d2
+        full[1:] += d3
+        full[:-1] -= d3
+        g += term.weight * full[1:-1]
     return g
 
 
@@ -358,8 +332,9 @@ class Solution:
     """A stationary trajectory with diagnostics.
 
     ``residual_el1`` and ``residual_el2`` are the max-abs of the two
-    mean-subtracted Euler-Lagrange forms; ``converged`` is true exactly
-    when both are within the solve tolerance.
+    mean-subtracted Euler-Lagrange forms, which hold the same values and so
+    are equal; ``converged`` is true exactly when they are within the solve
+    tolerance.
     """
 
     y: GridFunction
@@ -439,14 +414,13 @@ def solve(
             break
 
     y = _assemble(p, x)
-    r1 = float(np.max(np.abs(el_residual_1(p, y).values)))
-    r2 = float(np.max(np.abs(el_residual_2(p, y).values)))
-    converged = max(r1, r2) <= tol
+    r = float(np.max(np.abs(el_residual_2(p, y).values)))  # equals the first form's
+    converged = r <= tol
     sol = Solution(
         y=y,
         objective=objective(p, y),
-        residual_el1=r1,
-        residual_el2=r2,
+        residual_el1=r,
+        residual_el2=r,
         certificate=Certificate.NONE,
         iterations=iterations,
         converged=converged,

@@ -285,6 +285,24 @@ def test_identity_suite_gate():
     assert max(worst.values()) <= 1e-12
 
 
+def test_derivative_conversion_catches_a_misplaced_derivative(monkeypatch):
+    # a nabla derivative placed on the scale minus b has the right values
+    # index by index but the wrong points, which both conversions must see
+    from deltanabla import identities
+
+    def misplaced(f):
+        return GridFunction(f.scale.truncated(DomainTag.KAPPA), nabla_derivative(f).values)
+
+    rng = np.random.default_rng(9)
+    ts = random_scale(rng, min_points=4, max_points=10)
+    f, g = random_grid_function(rng, ts), random_grid_function(rng, ts)
+    assert identities.check_trial(ts, f, g)["nabla_from_delta"] <= 1e-12
+    monkeypatch.setattr(identities, "nabla_derivative", misplaced)
+    errs = identities.check_trial(ts, f, g)
+    assert errs["nabla_from_delta"] > 1e-3
+    assert errs["delta_from_nabla"] > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # Dubois-Reymond probes
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Delta-nabla problems: objective, Euler-Lagrange residuals, solver,
 certificates, and the local-minimizer probe."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from deltanabla import (
     ConfigurationError,
     DeltaNablaProblem,
     DomainError,
+    EvaluationError,
     GridFunction,
     Lagrangian,
     ScaleMismatchError,
@@ -127,6 +130,34 @@ def test_objective_zero_for_constant_trajectory():
     p = DeltaNablaProblem(T134, 1.0, 1.0, L, L, 0.0, 0.0)
     y = GridFunction.constant(T134, 0.0)
     assert objective(p, y) == 0.0
+
+
+def test_objective_division_by_zero_names_the_subexpression():
+    # the integrand sees Python floats, so 1/y at y = 0 raises and the
+    # evaluator names the failing subexpression; no numpy warning escapes
+    L = Lagrangian.from_expression("v^2 + 1/y")
+    p = DeltaNablaProblem(T134, 1.0, 1.0, L, L, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=r"division by zero in '1\.0/y'"):
+            objective(p, GridFunction(T134, [0.0, 0.0, 1.0]))
+
+
+def test_time_reversal_swaps_delta_and_nabla():
+    # a delta term on ts equals a nabla term with L(-t, y, -v) on the
+    # reflected scale, evaluated along the reversed trajectory
+    rng = np.random.default_rng(6)
+    L = Lagrangian.from_expression("exp(y)*v^2/2 + sin(t)*y + t*y*v")
+    L_rev = Lagrangian.from_expression("exp(y)*(-v)^2/2 + sin(-t)*y + (-t)*y*(-v)")
+    for _ in range(10):
+        ts = random_scale(rng, min_points=3, max_points=30, min_gap=0.05, max_gap=2.0)
+        rev = TimeScale(-ts.points[::-1])
+        y = GridFunction(ts, rng.uniform(-1, 1, len(ts)))
+        y_rev = GridFunction(rev, y.values[::-1])
+        fwd = TermSumProblem(ts, [Term(1.5, L, "delta")], 0.0, 1.0)
+        back = TermSumProblem(rev, [Term(1.5, L_rev, "nabla")], 1.0, 0.0)
+        assert objective(back, y_rev) == pytest.approx(objective(fwd, y), rel=1e-12)
+        assert np.allclose(gradient(back, y_rev), gradient(fwd, y)[::-1], rtol=1e-12, atol=1e-12)
 
 
 def test_objective_scale_mismatch():
