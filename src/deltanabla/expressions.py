@@ -183,7 +183,10 @@ class _Parser:
             raise ExpressionSyntaxError("unexpected end of input", len(self.src))
         kind, text, off = tok
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ExpressionSyntaxError(f"number {text!r} overflows", off)
+            return Num(value)
         if kind == "ident":
             if text in FUNCTIONS:
                 self._expect_op("(")
@@ -265,6 +268,7 @@ def to_source(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 _FN_TABLE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
+_NAMESPACE = {"_pow": math.pow, "inf": math.inf, "nan": math.nan, **_FN_TABLE}
 
 
 def evaluate(e: Expr, t: float, y: float, v: float) -> float:
@@ -279,13 +283,13 @@ def _fail(e: Expr, why: str) -> EvaluationError:
 
 
 def _eval(e: Expr, env: dict[str, float]) -> float:
-    if isinstance(e, Num):
-        return e.value
     if isinstance(e, Var):
         return env[e.name]
     if isinstance(e, Neg):
         return -_eval(e.arg, env)
-    if isinstance(e, Add):
+    if isinstance(e, Num):
+        out = e.value  # folding can overflow to a non-finite constant
+    elif isinstance(e, Add):
         out = _eval(e.left, env) + _eval(e.right, env)
     elif isinstance(e, Sub):
         out = _eval(e.left, env) - _eval(e.right, env)
@@ -320,20 +324,14 @@ def _eval(e: Expr, env: dict[str, float]) -> float:
 
 
 def compile_expr(e: Expr) -> Callable[[float, float, float], float]:
-    """Compile to a plain Python callable (t, y, v) -> float.
+    """Compile once to a plain function ``lambda t, y, v: ...``.
 
-    The fast path skips the per-node checks of ``evaluate``; callers that
-    need precise error reports should catch arithmetic exceptions and fall
-    back to ``evaluate``.
+    It skips the per-node checks of ``evaluate`` (a constant folded to inf
+    or nan compiles to that value); callers that see an arithmetic
+    exception or a non-finite result re-run ``evaluate``, which names the
+    failing subexpression.
     """
-    src = _py_source(e)
-    code = compile(src, "<expression>", "eval")
-    namespace = {"_pow": math.pow, **_FN_TABLE}
-
-    def fn(t: float, y: float, v: float) -> float:
-        return eval(code, namespace, {"t": t, "y": y, "v": v})
-
-    return fn
+    return eval(f"lambda t, y, v: {_py_source(e)}", _NAMESPACE)
 
 
 def _py_source(e: Expr) -> str:

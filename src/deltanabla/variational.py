@@ -55,6 +55,11 @@ def _fd_step(x: float) -> float:
     return FD_STEP * max(1.0, abs(x))
 
 
+def _central(f: Callable, t: float, y: float, v: float, hy: float, hv: float) -> float:
+    """Central difference of f(t, y, v) in y (step hy, hv = 0) or in v (hv, hy = 0)."""
+    return (f(t, y + hy, v + hv) - f(t, y - hy, v - hv)) / (2.0 * (hy + hv))
+
+
 class Lagrangian:
     """An integrand L(t, y, v) with partial derivatives in slots 2 and 3.
 
@@ -63,7 +68,7 @@ class Lagrangian:
     to central finite differences otherwise; ``source`` records which.
     """
 
-    __slots__ = ("_fn", "_d2", "_d3", "_expr", "source", "text")
+    __slots__ = ("_fn", "_d2", "_d3", "_trees", "source", "text")
 
     def __init__(
         self,
@@ -71,14 +76,14 @@ class Lagrangian:
         d2: Callable[[float, float, float], float] | None = None,
         d3: Callable[[float, float, float], float] | None = None,
         source: str | None = None,
-        _expr=None,
+        _trees: dict[str, expressions.Expr] | None = None,
         text: str | None = None,
         allow_fd: bool = True,
     ):
         if not callable(fn):
             raise ConfigurationError("Lagrangian needs a callable integrand")
         self._fn = fn
-        self._expr = _expr
+        self._trees = _trees
         self.text = text
         if d2 is None and not allow_fd:
             raise ConfigurationError("partial derivatives unavailable and finite differences disabled")
@@ -90,10 +95,10 @@ class Lagrangian:
     def from_expression(cls, src: str) -> "Lagrangian":
         """Parse an expression over t, y, v and differentiate it symbolically."""
         tree = expressions.parse(src)
-        fn = expressions.compile_expr(tree)
-        d2 = expressions.compile_expr(expressions.differentiate(tree, "y"))
-        d3 = expressions.compile_expr(expressions.differentiate(tree, "v"))
-        return cls(fn, d2, d3, source="analytic", _expr=tree, text=src)
+        diff = expressions.differentiate
+        trees = {"L": tree, "d2": diff(tree, "y"), "d3": diff(tree, "v")}
+        fn, d2, d3 = map(expressions.compile_expr, trees.values())
+        return cls(fn, d2, d3, source="analytic", _trees=trees, text=src)
 
     @classmethod
     def from_callables(
@@ -107,13 +112,14 @@ class Lagrangian:
     def _guard(self, raw: Callable, t: float, y: float, v: float, what: str) -> float:
         try:
             out = raw(t, y, v)
+            if math.isfinite(out):
+                return out
+            why = " is not finite"
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            if self._expr is not None and what == "L":
-                expressions.evaluate(self._expr, t, y, v)  # raises with detail
-            raise EvaluationError(f"{what}({t!r}, {y!r}, {v!r}): {exc}") from None
-        if not math.isfinite(out):
-            raise EvaluationError(f"{what}({t!r}, {y!r}, {v!r}) is not finite")
-        return out
+            why = f": {exc}"
+        if self._trees is not None:  # any failure: the tree of ``what`` names its cause
+            expressions.evaluate(self._trees[what], t, y, v)
+        raise EvaluationError(f"{what}({t!r}, {y!r}, {v!r}){why}")
 
     def __call__(self, t: float, y: float, v: float) -> float:
         return self._guard(self._fn, t, y, v, "L")
@@ -122,15 +128,13 @@ class Lagrangian:
         """Partial derivative with respect to the second slot."""
         if self._d2 is not None:
             return self._guard(self._d2, t, y, v, "d2")
-        h = _fd_step(y)
-        return (self(t, y + h, v) - self(t, y - h, v)) / (2.0 * h)
+        return _central(self, t, y, v, _fd_step(y), 0.0)
 
     def d3(self, t: float, y: float, v: float) -> float:
         """Partial derivative with respect to the third slot."""
         if self._d3 is not None:
             return self._guard(self._d3, t, y, v, "d3")
-        h = _fd_step(v)
-        return (self(t, y, v + h) - self(t, y, v - h)) / (2.0 * h)
+        return _central(self, t, y, v, 0.0, _fd_step(v))
 
 
 @dataclass(frozen=True)
@@ -367,9 +371,12 @@ def solve(
     """Find a stationary trajectory by damped Newton on the gradient.
 
     The Hessian is taken by central differences of the gradient; steps
-    backtrack on the gradient norm.  Non-convergence is reported in the
-    returned Solution, never raised.  The certificate is filled by
-    ``certify`` when the residuals meet the tolerance.
+    backtrack on the gradient norm, and a trial step whose gradient leaves
+    the Lagrangian's domain is rejected like one that does not descend.
+    Non-convergence is reported in the returned Solution, never raised: a
+    stationary point where the objective itself cannot be evaluated gives
+    ``converged=False`` and ``objective=nan``, with its residuals.  The
+    certificate is filled by ``certify`` when the solve converged.
     """
     if init is None:
         x = linear_interpolant(p).values[1:-1].copy()
@@ -403,7 +410,10 @@ def solve(
         accepted = False
         while lam >= 2.0**-30:
             x_trial = x + lam * step
-            g_trial = gradient(p, _assemble(p, x_trial))
+            try:
+                g_trial = gradient(p, _assemble(p, x_trial))
+            except EvaluationError:  # the trial left the Lagrangian's domain
+                g_trial = np.full(n, math.inf)
             if float(np.max(np.abs(g_trial))) < gnorm * (1.0 - 1e-4 * lam):
                 x, g = x_trial, g_trial
                 accepted = True
@@ -415,10 +425,14 @@ def solve(
 
     y = _assemble(p, x)
     r = float(np.max(np.abs(el_residual_2(p, y).values)))  # equals the first form's
-    converged = r <= tol
+    try:
+        value = objective(p, y)
+    except EvaluationError:  # stationary, but outside the Lagrangian's domain
+        value = math.nan
+    converged = r <= tol and not math.isnan(value)
     sol = Solution(
         y=y,
-        objective=objective(p, y),
+        objective=value,
         residual_el1=r,
         residual_el2=r,
         certificate=Certificate.NONE,
@@ -437,12 +451,11 @@ def solve(
 
 def _hessian_2x2(L: Lagrangian, t: float, y: float, v: float) -> tuple[float, float, float]:
     """Symmetrized (d2y2, d2yv, d2v2) by central differences of the partials."""
-    hy = _fd_step(y)
-    hv = _fd_step(v)
-    h_yy = (L.d2(t, y + hy, v) - L.d2(t, y - hy, v)) / (2.0 * hy)
-    h_yv = (L.d2(t, y, v + hv) - L.d2(t, y, v - hv)) / (2.0 * hv)
-    h_vy = (L.d3(t, y + hy, v) - L.d3(t, y - hy, v)) / (2.0 * hy)
-    h_vv = (L.d3(t, y, v + hv) - L.d3(t, y, v - hv)) / (2.0 * hv)
+    hy, hv = _fd_step(y), _fd_step(v)
+    h_yy = _central(L.d2, t, y, v, hy, 0.0)
+    h_yv = _central(L.d2, t, y, v, 0.0, hv)
+    h_vy = _central(L.d3, t, y, v, hy, 0.0)
+    h_vv = _central(L.d3, t, y, v, 0.0, hv)
     return h_yy, 0.5 * (h_yv + h_vy), h_vv
 
 
@@ -474,8 +487,9 @@ def certify(
     the trajectory (range inflated by ``inflate``) at every scale point.
     All Hessians positive semidefinite with nonnegative weights certifies a
     global minimizer; the negative-semidefinite analogue a global
-    maximizer; anything else, or any negative weight, gives local-only.
-    The check samples; it is evidence, not a proof.
+    maximizer; anything else, or any negative weight, gives local-only, as
+    does a box that leaves the Lagrangian's domain.  The check samples; it
+    is evidence, not a proof.
     """
     if not sol.converged:
         return Certificate.NONE
@@ -498,7 +512,10 @@ def certify(
         for t in p.scale.points:
             for yy in ys:
                 for vv in vs:
-                    a, b, c = _hessian_2x2(term.lagrangian, float(t), float(yy), float(vv))
+                    try:
+                        a, b, c = _hessian_2x2(term.lagrangian, float(t), float(yy), float(vv))
+                    except EvaluationError:  # the box leaves the domain
+                        return Certificate.LOCAL_ONLY
                     lo, hi = _eig_range_2x2(a, b, c)
                     min_eig = min(min_eig, lo)
                     max_eig = max(max_eig, hi)

@@ -69,6 +69,7 @@ def test_load_interval_sampling_recorded():
         (lambda d: d.update(timescale={"points": [3, 1, 4]}), "timescale.points"),
         (lambda d: d.update(timescale={"points": [1, 1, 4]}), "timescale.points"),
         (lambda d: d.update(lagrangian_delta="t*(")  , "lagrangian_delta"),
+        (lambda d: d.update(lagrangian_nabla="1e999*v"), "lagrangian_nabla"),
         (lambda d: d.update(kind="mystery"), "kind"),
     ],
 )
@@ -159,6 +160,19 @@ def test_cmd_solve_nonconverged_exit_2(tmp_path):
     code = main(["solve", write_problem(tmp_path, data), "--report", report])
     assert code == 2
     assert json.load(open(report))["converged"] is False
+
+
+def test_cmd_solve_stationary_outside_the_domain_exit_2(tmp_path, capsys):
+    # Newton reaches a stationary point at y < 0, where log(y) is undefined
+    data = json.loads(json.dumps(EXAMPLE))
+    data["timescale"] = {"interval": {"a": 0.0, "b": 1.0, "n": 7}}
+    data["lagrangian_delta"] = data["lagrangian_nabla"] = "v^2 - 30*y^2 + log(y)"
+    data["boundary"] = {"alpha": 1.0, "beta": 1.0}
+    report = str(tmp_path / "report.json")
+    code = main(["solve", write_problem(tmp_path, data), "--report", report])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("NOT converged: objective=nan certificate=none")
+    assert json.load(open(report))["residuals"]["el1_max"] <= 1e-10
 
 
 def test_csv_and_report_deterministic(tmp_path):

@@ -51,6 +51,9 @@ def test_parse_error_offsets():
     assert err.value.offset == 2
     with pytest.raises(ExpressionSyntaxError):
         ex.parse("sin t")
+    with pytest.raises(ExpressionSyntaxError, match="overflows") as err:
+        ex.parse("v + 1e999")
+    assert err.value.offset == 4
 
 
 def test_left_associativity():

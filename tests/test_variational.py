@@ -132,15 +132,28 @@ def test_objective_zero_for_constant_trajectory():
     assert objective(p, y) == 0.0
 
 
-def test_objective_division_by_zero_names_the_subexpression():
-    # the integrand sees Python floats, so 1/y at y = 0 raises and the
-    # evaluator names the failing subexpression; no numpy warning escapes
-    L = Lagrangian.from_expression("v^2 + 1/y")
+@pytest.mark.parametrize(
+    "fn, src, match",
+    [
+        (objective, "v^2 + 1/y", r"division by zero in '1\.0/y'"),
+        (gradient, "v^2 + 1/y", r"division by zero in '-1\.0/y\^2\.0'"),
+        (el_residual_1, "v^2 + 1/y", r"division by zero in '-1\.0/y\^2\.0'"),
+        # non-finite without any exception: an overflow, and d3 folded to inf
+        (objective, "1e200*y*1e200", r"non-finite result in '1e\+200\*y\*1e\+200'"),
+        (gradient, "1e200*v*1e200", r"non-finite result in 'inf'"),
+    ],
+    ids=["objective", "gradient", "el_residual_1", "objective-overflow", "gradient-folded-inf"],
+)
+def test_evaluation_errors_name_the_subexpression(fn, src, match):
+    # the integrand and its partials see Python floats; any failure is
+    # re-evaluated on its expression tree, which names the failing
+    # subexpression, and no numpy warning escapes
+    L = Lagrangian.from_expression(src)
     p = DeltaNablaProblem(T134, 1.0, 1.0, L, L, 0.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(EvaluationError, match=r"division by zero in '1\.0/y'"):
-            objective(p, GridFunction(T134, [0.0, 0.0, 1.0]))
+        with pytest.raises(EvaluationError, match=match):
+            fn(p, GridFunction(T134, [0.0, 0.0, 1.0]))
 
 
 def test_time_reversal_swaps_delta_and_nabla():
@@ -337,6 +350,25 @@ def test_solve_nonconvergence_is_reported_not_raised():
     assert sol.iterations == 1
 
 
+@pytest.mark.parametrize(
+    "src, converged, certificate",
+    [
+        # a line-search trial takes y^0.5 to negative y
+        ("v^2 - 30*y^2 + y^0.5", True, Certificate.LOCAL_ONLY),
+        # stationary at y < 0, where the partials exist but log(y) does not
+        ("v^2 - 30*y^2 + log(y)", False, Certificate.NONE),
+    ],
+)
+def test_solve_reports_a_trajectory_that_leaves_the_domain(src, converged, certificate):
+    L = Lagrangian.from_expression(src)
+    p = DeltaNablaProblem(TimeScale.sampled_interval(0, 1, 7), 1, 1, L, L, 1, 1)
+    sol = solve(p)
+    assert sol.converged is converged
+    assert sol.certificate is certificate
+    assert sol.residual_el1 == sol.residual_el2 <= 1e-10
+    assert np.isnan(sol.objective) == (not converged)
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -378,6 +410,16 @@ def test_sign_mixed_weights_solve_but_stay_uncertified():
     assert sol.converged
     assert sol.y.values[1] == pytest.approx((6 * 2 - 8) / (7 * 2 - 11), abs=1e-9)
     assert sol.certificate is Certificate.LOCAL_ONLY
+
+
+def test_certify_box_leaving_the_domain_local_only():
+    # jointly convex on y > 0, but the inflated sample box reaches y < 0,
+    # where the partial 1.5*y^0.5 is undefined
+    L = Lagrangian.from_expression("v^2 + y^1.5")
+    p = DeltaNablaProblem(T134, 1.0, 1.0, L, L, 0.1, 2.0)
+    sol = solve(p)
+    assert sol.converged
+    assert certify(p, sol) is Certificate.LOCAL_ONLY
 
 
 def test_certify_unconverged_none():
