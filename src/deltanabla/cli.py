@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -53,7 +54,10 @@ def _write_trajectory_csv(path: str, loaded: LoadedProblem, sol: Solution) -> No
     y_delta = delta_derivative(sol.y).values
     y_nabla = nabla_derivative(sol.y).values
     core = loaded.problem if loaded.kind == "delta-nabla" else reduced_problem(loaded.problem)
-    r = el_residual_2(core, sol.y).values  # the first form holds the same values
+    try:
+        r = el_residual_2(core, sol.y).values  # the first form holds the same values
+    except EvaluationError:  # the trajectory leaves the Lagrangian's domain
+        r = np.full(n - 1, np.nan)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "y", "y_delta", "y_nabla", "residual_el1", "residual_el2"])
@@ -70,6 +74,11 @@ def _write_trajectory_csv(path: str, loaded: LoadedProblem, sol: Solution) -> No
             )
 
 
+def _json_number(x: float | None) -> float | None:
+    """x, or None (JSON null) where strict JSON has no number for it."""
+    return x if x is not None and math.isfinite(x) else None
+
+
 def _write_report(path: str, loaded: LoadedProblem, sol: Solution) -> None:
     residuals = {"el1_max": sol.residual_el1, "el2_max": sol.residual_el2}
     if isinstance(sol, DirectionalSolution):
@@ -78,18 +87,18 @@ def _write_report(path: str, loaded: LoadedProblem, sol: Solution) -> None:
     report = {
         "kind": loaded.kind,
         "problem": loaded.meta,
-        "objective": sol.objective,
+        "objective": _json_number(sol.objective),
         "certificate": sol.certificate.value,
         "converged": sol.converged,
         "iterations": sol.iterations,
-        "residuals": residuals,
+        "residuals": {key: _json_number(r) for key, r in residuals.items()},
         "trajectory": {
             "t": [float(t) for t in sol.y.scale.points],
             "y": [float(v) for v in sol.y.values],
         },
     }
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

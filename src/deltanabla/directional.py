@@ -32,6 +32,7 @@ from .variational import (
     Solution,
     Term,
     TermSumProblem,
+    _nan_outside_domain,
     _partials,
     _stencil,
     objective,
@@ -166,16 +167,22 @@ def solve_directional(
     max_iter: int = 200,
     init: GridFunction | None = None,
 ) -> DirectionalSolution:
-    """Solve by reduction to the delta (u > 0) or nabla (u < 0) problem."""
+    """Solve by reduction to the delta (u > 0) or nabla (u < 0) problem.
+
+    Like ``solve``, it reports a trajectory outside the Lagrangian's domain
+    and does not raise: the directional residuals are then NaN.
+    """
     sol = solve(reduced_problem(p), tol=tol, max_iter=max_iter, init=init)
-    wide = directional_el_residual(p, sol.y)
+
+    def max_abs(strict: bool) -> float:
+        return float(np.max(np.abs(directional_el_residual(p, sol.y, strict).values)))
+
     try:
-        strict = directional_el_residual(p, sol.y, strict=True)
-        strict_max = float(np.max(np.abs(strict.values)))
+        strict_max = _nan_outside_domain(lambda: max_abs(True))
     except DomainError:
         strict_max = None
     return DirectionalSolution(
         **vars(sol),
-        residual_directional=float(np.max(np.abs(wide.values))),
+        residual_directional=_nan_outside_domain(lambda: max_abs(False)),
         residual_directional_strict=strict_max,
     )

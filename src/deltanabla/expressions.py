@@ -4,7 +4,8 @@ Supports the variables t, y, v, the constants pi and e, the binary
 operators + - * / ^ (with ^ binding tightest and associating to the right,
 then unary minus, then * /, then + -), and the functions sin, cos, exp,
 log.  Expressions parse to immutable trees that can be evaluated, printed
-back to source, differentiated symbolically, or compiled to a fast callable.
+back to source, differentiated symbolically, or compiled to a fast callable
+over Python floats or over numpy arrays.
 
 Grammar (EBNF):
 
@@ -24,6 +25,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
+
+import numpy as np
 
 from .errors import EvaluationError, ExpressionSyntaxError
 
@@ -269,6 +272,13 @@ def to_source(e: Expr) -> str:
 
 _FN_TABLE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
 _NAMESPACE = {"_pow": math.pow, "inf": math.inf, "nan": math.nan, **_FN_TABLE}
+_ARRAY_NAMESPACE = {
+    "_pow": np.power,
+    "inf": np.inf,
+    "nan": np.nan,
+    "_broadcast": lambda out, t, y, v: np.broadcast_arrays(out, t, y, v)[0],
+    **{name: getattr(np, name) for name in FUNCTIONS},
+}
 
 
 def evaluate(e: Expr, t: float, y: float, v: float) -> float:
@@ -323,14 +333,19 @@ def _eval(e: Expr, env: dict[str, float]) -> float:
     return out
 
 
-def compile_expr(e: Expr) -> Callable[[float, float, float], float]:
+def compile_expr(e: Expr, arrays: bool = False) -> Callable:
     """Compile once to a plain function ``lambda t, y, v: ...``.
 
     It skips the per-node checks of ``evaluate`` (a constant folded to inf
     or nan compiles to that value); callers that see an arithmetic
     exception or a non-finite result re-run ``evaluate``, which names the
-    failing subexpression.
+    failing subexpression.  With ``arrays`` the same source runs on numpy
+    (``np.power``, ``np.sin``, ...) and returns an array of the broadcast
+    shape of t, y and v, also for a constant; numpy flags domain faults
+    only under ``np.errstate(..., "raise")``.
     """
+    if arrays:
+        return eval(f"lambda t, y, v: _broadcast({_py_source(e)}, t, y, v)", _ARRAY_NAMESPACE)
     return eval(f"lambda t, y, v: {_py_source(e)}", _NAMESPACE)
 
 

@@ -9,7 +9,8 @@ method on the gradient, and both integral forms of the Euler-Lagrange
 condition can be evaluated exactly as "deviation from constancy"
 residuals.  Jointly convex integrands with nonnegative weights upgrade a
 stationary point to a global minimizer; a sampled Hessian check issues
-that certificate.
+that certificate, on numpy arrays of exact second partials for expression
+Lagrangians.
 
 Every delta term and every nabla term is one two-point stencil,
 sum_i gap_i * L(t_e, y_s, (y_{i+1} - y_i) / gap_i), with (e, s) = (i, i+1)
@@ -25,6 +26,7 @@ the two-term delta-nabla problem is the m = 2 case.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -49,6 +51,7 @@ from .timescale import (
 )
 
 FD_STEP = 1e-6  # central-difference step factor, times max(1, |x|)
+HESSIAN = ("yy", "yv", "vv")  # the second partials, as keys of Lagrangian._trees
 
 
 def _fd_step(x: float) -> float:
@@ -66,9 +69,13 @@ class Lagrangian:
     Partials are analytic when the Lagrangian comes from a parsed
     expression (or is given explicit derivative callables) and fall back
     to central finite differences otherwise; ``source`` records which.
+    The value and the partials take Python floats.  ``hessian`` takes
+    arrays: a parsed expression evaluates its exact second partials on them
+    in one call each, any other Lagrangian takes central differences of
+    its partials sample by sample.
     """
 
-    __slots__ = ("_fn", "_d2", "_d3", "_trees", "source", "text")
+    __slots__ = ("_fn", "_d2", "_d3", "_hess", "_trees", "source", "text")
 
     def __init__(
         self,
@@ -79,11 +86,13 @@ class Lagrangian:
         _trees: dict[str, expressions.Expr] | None = None,
         text: str | None = None,
         allow_fd: bool = True,
+        _hess: tuple[Callable, Callable, Callable] | None = None,
     ):
         if not callable(fn):
             raise ConfigurationError("Lagrangian needs a callable integrand")
         self._fn = fn
         self._trees = _trees
+        self._hess = _hess
         self.text = text
         if d2 is None and not allow_fd:
             raise ConfigurationError("partial derivatives unavailable and finite differences disabled")
@@ -93,12 +102,16 @@ class Lagrangian:
 
     @classmethod
     def from_expression(cls, src: str) -> "Lagrangian":
-        """Parse an expression over t, y, v and differentiate it symbolically."""
+        """Parse an expression over t, y, v and differentiate it symbolically,
+        twice for the second partials of ``hessian``."""
         tree = expressions.parse(src)
         diff = expressions.differentiate
-        trees = {"L": tree, "d2": diff(tree, "y"), "d3": diff(tree, "v")}
-        fn, d2, d3 = map(expressions.compile_expr, trees.values())
-        return cls(fn, d2, d3, source="analytic", _trees=trees, text=src)
+        d2, d3 = diff(tree, "y"), diff(tree, "v")
+        trees = {"L": tree, "d2": d2, "d3": d3,
+                 "yy": diff(d2, "y"), "yv": diff(d2, "v"), "vv": diff(d3, "v")}
+        fn, d2, d3 = (expressions.compile_expr(trees[key]) for key in ("L", "d2", "d3"))
+        hess = tuple(expressions.compile_expr(trees[key], arrays=True) for key in HESSIAN)
+        return cls(fn, d2, d3, source="analytic", _trees=trees, text=src, _hess=hess)
 
     @classmethod
     def from_callables(
@@ -135,6 +148,47 @@ class Lagrangian:
         if self._d3 is not None:
             return self._guard(self._d3, t, y, v, "d3")
         return _central(self, t, y, v, 0.0, _fd_step(v))
+
+    def hessian(self, t, y, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Second partials (yy, yv, vv) at every sample of the broadcast
+        arrays t, y and v, each an array of the broadcast shape.
+
+        A parsed expression evaluates its exact second partials under the
+        domain rules of ``expressions.evaluate``: a floating-point fault
+        other than underflow fails even where IEEE arithmetic would carry
+        on to a finite result, and so does a non-finite entry.  The first
+        failing sample is then evaluated again on the trees, so the
+        EvaluationError names the failing subexpression.  Any other
+        Lagrangian takes ``_hessian_2x2`` at each sample.
+        """
+        samples = np.broadcast_arrays(t, y, v)
+        floats = zip(*(map(float, a.flat) for a in samples))  # one sample at a time
+        if self._hess is None:
+            h = itertools.chain.from_iterable(_hessian_2x2(self, *s) for s in floats)
+            h = np.fromiter(h, float, count=3 * samples[0].size)
+            return tuple(np.moveaxis(h.reshape(samples[0].shape + (3,)), -1, 0))
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                out = tuple(f(t, y, v) for f in self._hess)
+            if all(np.isfinite(h).all() for h in out):
+                return out
+            why = "a non-finite second partial"
+        except FloatingPointError as exc:
+            why = str(exc)
+        for s in floats:
+            for key in HESSIAN:
+                expressions.evaluate(self._trees[key], *s)
+        raise EvaluationError(f"hessian of {self.text!r}: {why}")
+
+
+def _hessian_2x2(L: Lagrangian, t: float, y: float, v: float) -> tuple[float, float, float]:
+    """Symmetrized (d2y2, d2yv, d2v2) by central differences of the partials."""
+    hy, hv = _fd_step(y), _fd_step(v)
+    h_yy = _central(L.d2, t, y, v, hy, 0.0)
+    h_yv = _central(L.d2, t, y, v, 0.0, hv)
+    h_vy = _central(L.d3, t, y, v, hy, 0.0)
+    h_vv = _central(L.d3, t, y, v, 0.0, hv)
+    return h_yy, 0.5 * (h_yv + h_vy), h_vv
 
 
 @dataclass(frozen=True)
@@ -362,6 +416,14 @@ def _assemble(p: TermSumProblem, interior: np.ndarray) -> GridFunction:
     return GridFunction(p.scale, vals)
 
 
+def _nan_outside_domain(f: Callable[[], float]) -> float:
+    """f(), or NaN when it leaves the Lagrangian's domain."""
+    try:
+        return f()
+    except EvaluationError:
+        return math.nan
+
+
 def solve(
     p: TermSumProblem,
     tol: float = 1e-10,
@@ -375,7 +437,9 @@ def solve(
     the Lagrangian's domain is rejected like one that does not descend.
     Non-convergence is reported in the returned Solution, never raised: a
     stationary point where the objective itself cannot be evaluated gives
-    ``converged=False`` and ``objective=nan``, with its residuals.  The
+    ``converged=False`` and ``objective=nan``, with its residuals, and a
+    start point where the gradient cannot be evaluated gives no iterations
+    and NaN for the objective and residuals it cannot evaluate.  The
     certificate is filled by ``certify`` when the solve converged.
     """
     if init is None:
@@ -387,7 +451,10 @@ def solve(
     n = x.size
     gtol = tol / (2.0 * max(1, n))
     iterations = 0
-    g = gradient(p, _assemble(p, x))
+    try:
+        g = gradient(p, _assemble(p, x))
+    except EvaluationError:  # the start point leaves the Lagrangian's domain
+        max_iter = 0
     for _ in range(max_iter):
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= gtol:
@@ -424,11 +491,9 @@ def solve(
             break
 
     y = _assemble(p, x)
-    r = float(np.max(np.abs(el_residual_2(p, y).values)))  # equals the first form's
-    try:
-        value = objective(p, y)
-    except EvaluationError:  # stationary, but outside the Lagrangian's domain
-        value = math.nan
+    # the second form's residual equals the first form's
+    r = _nan_outside_domain(lambda: float(np.max(np.abs(el_residual_2(p, y).values))))
+    value = _nan_outside_domain(lambda: objective(p, y))
     converged = r <= tol and not math.isnan(value)
     sol = Solution(
         y=y,
@@ -449,20 +514,7 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-def _hessian_2x2(L: Lagrangian, t: float, y: float, v: float) -> tuple[float, float, float]:
-    """Symmetrized (d2y2, d2yv, d2v2) by central differences of the partials."""
-    hy, hv = _fd_step(y), _fd_step(v)
-    h_yy = _central(L.d2, t, y, v, hy, 0.0)
-    h_yv = _central(L.d2, t, y, v, 0.0, hv)
-    h_vy = _central(L.d3, t, y, v, hy, 0.0)
-    h_vv = _central(L.d3, t, y, v, 0.0, hv)
-    return h_yy, 0.5 * (h_yv + h_vy), h_vv
-
-
-def _eig_range_2x2(a: float, b: float, c: float) -> tuple[float, float]:
-    mid = 0.5 * (a + c)
-    rad = math.hypot(0.5 * (a - c), b)
-    return mid - rad, mid + rad
+CERTIFY_BLOCK = 4096  # samples per block of scale points; bounds certify's arrays
 
 
 def _sample_box(values: np.ndarray, inflate: float) -> tuple[float, float]:
@@ -484,7 +536,9 @@ def certify(
     """Sample-based joint-convexity certificate for a stationary solution.
 
     Samples the (y, v) Hessian of every active integrand over a box around
-    the trajectory (range inflated by ``inflate``) at every scale point.
+    the trajectory (range inflated by ``inflate``) at every scale point,
+    ``Lagrangian.hessian`` taking one block of scale points with their
+    ``grid_points`` x ``grid_points`` samples at a time.
     All Hessians positive semidefinite with nonnegative weights certifies a
     global minimizer; the negative-semidefinite analogue a global
     maximizer; anything else, or any negative weight, gives local-only, as
@@ -503,22 +557,23 @@ def certify(
     )
     y_lo, y_hi = _sample_box(y_vals, inflate)
     v_lo, v_hi = _sample_box(v_vals, inflate)
-    ys = np.linspace(y_lo, y_hi, grid_points)
-    vs = np.linspace(v_lo, v_hi, grid_points)
+    ys = np.linspace(y_lo, y_hi, grid_points)[:, None]
+    vs = np.linspace(v_lo, v_hi, grid_points)[None, :]
 
+    points = p.scale.points
+    block = max(1, CERTIFY_BLOCK // grid_points**2)
     min_eig = math.inf
     max_eig = -math.inf
-    for term in actives:
-        for t in p.scale.points:
-            for yy in ys:
-                for vv in vs:
-                    try:
-                        a, b, c = _hessian_2x2(term.lagrangian, float(t), float(yy), float(vv))
-                    except EvaluationError:  # the box leaves the domain
-                        return Certificate.LOCAL_ONLY
-                    lo, hi = _eig_range_2x2(a, b, c)
-                    min_eig = min(min_eig, lo)
-                    max_eig = max(max_eig, hi)
+    for term, start in itertools.product(actives, range(0, len(points), block)):
+        t = points[start : start + block, None, None]
+        try:
+            a, b, c = term.lagrangian.hessian(t, ys, vs)
+        except EvaluationError:  # the box leaves the domain
+            return Certificate.LOCAL_ONLY
+        mid = 0.5 * (a + c)
+        rad = np.hypot(0.5 * (a - c), b)
+        min_eig = min(min_eig, float(np.min(mid - rad)))
+        max_eig = max(max_eig, float(np.max(mid + rad)))
     if min_eig >= -eig_tol:
         return Certificate.GLOBAL_MIN
     if max_eig <= eig_tol:

@@ -162,6 +162,10 @@ def test_cmd_solve_nonconverged_exit_2(tmp_path):
     assert json.load(open(report))["converged"] is False
 
 
+def _raise_on_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_cmd_solve_stationary_outside_the_domain_exit_2(tmp_path, capsys):
     # Newton reaches a stationary point at y < 0, where log(y) is undefined
     data = json.loads(json.dumps(EXAMPLE))
@@ -172,7 +176,28 @@ def test_cmd_solve_stationary_outside_the_domain_exit_2(tmp_path, capsys):
     code = main(["solve", write_problem(tmp_path, data), "--report", report])
     assert code == 2
     assert capsys.readouterr().out.startswith("NOT converged: objective=nan certificate=none")
-    assert json.load(open(report))["residuals"]["el1_max"] <= 1e-10
+    loaded = json.loads((tmp_path / "report.json").read_text(), parse_constant=_raise_on_constant)
+    assert loaded["objective"] is None
+    assert loaded["residuals"]["el1_max"] <= 1e-10
+
+
+def test_cmd_solve_start_outside_the_domain_exit_2(tmp_path, capsys):
+    # the linear start from -1 to 1 passes through y = 0, where log(y) and
+    # its partial 1/y fail; the report stays strict JSON
+    data = json.loads(json.dumps(EXAMPLE))
+    data["timescale"] = {"interval": {"a": 0.0, "b": 1.0, "n": 7}}
+    data["lagrangian_delta"] = data["lagrangian_nabla"] = "v^2 + log(y)"
+    data["boundary"] = {"alpha": -1.0, "beta": 1.0}
+    out_csv, out_json = str(tmp_path / "traj.csv"), str(tmp_path / "report.json")
+    code = main(["solve", write_problem(tmp_path, data), "--out", out_csv, "--report", out_json])
+    assert code == 2
+    assert capsys.readouterr().out.startswith(
+        "NOT converged: objective=nan certificate=none iterations=0\nresiduals: el1=nan el2=nan"
+    )
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_raise_on_constant)
+    assert report["objective"] is None
+    assert report["residuals"] == {"el1_max": None, "el2_max": None}
+    assert report["trajectory"]["y"][3] == 0.0
 
 
 def test_csv_and_report_deterministic(tmp_path):

@@ -222,3 +222,12 @@ def test_solve_directional_residual_necessity():
         sol = solve_directional(p)
         assert sol.converged
         assert sol.residual_directional <= 1e-8
+
+
+@pytest.mark.parametrize("u", [1.0, -1.0])
+def test_solve_directional_reports_a_start_point_outside_the_domain(u):
+    # the linear start from -1 to 1 passes through y = 0, where log(y) fails
+    L = Lagrangian.from_expression("v^2 + log(y)")
+    sol = solve_directional(DirectionalProblem(TimeScale.sampled_interval(0, 1, 7), u, L, -1.0, 1.0))
+    assert not sol.converged and sol.iterations == 0
+    assert np.isnan(sol.residual_directional) and np.isnan(sol.residual_directional_strict)

@@ -141,6 +141,26 @@ def test_compiled_matches_evaluate():
         checked += 1
 
 
+def test_array_compilation_matches_scalar_and_broadcasts():
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 60:
+        tree = random_expression(rng)
+        point = well_behaved_sample(rng, tree)
+        if point is None:
+            continue
+        axes = [x + np.array([0.0, 0.01]) for x in point]
+        grid = (axes[0][:, None, None], axes[1][:, None], axes[2])
+        out = ex.compile_expr(tree, arrays=True)(*grid)
+        scalar = ex.compile_expr(tree)
+        expected = [[[scalar(t, y, v) for v in axes[2]] for y in axes[1]] for t in axes[0]]
+        assert out.shape == (2, 2, 2)
+        assert np.allclose(out, expected, rtol=1e-13, atol=1e-13), ex.to_source(tree)
+        checked += 1
+    constant = ex.compile_expr(ex.parse("2"), arrays=True)(np.zeros(3), 0.0, np.zeros((2, 1)))
+    assert constant.shape == (2, 3) and np.all(constant == 2.0)
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ from deltanabla import (
     random_scale,
     solve,
 )
+from deltanabla import expressions as ex
+from deltanabla.variational import _hessian_2x2
+from conftest import random_expression, well_behaved_sample
 
 T134 = TimeScale([1.0, 3.0, 4.0])
 L_TV2 = Lagrangian.from_expression("t*v^2")
@@ -89,6 +92,110 @@ def test_lagrangian_nan_raises_evaluation_error():
     bad = Lagrangian.from_callables(lambda t, y, v: float("nan"))
     with pytest.raises(EvaluationError):
         bad(0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# second partials
+# ---------------------------------------------------------------------------
+
+
+def _sympy(e, sp, names):
+    """An expression tree as a sympy expression, node by node."""
+    if isinstance(e, ex.Num):
+        return sp.Float(e.value)
+    if isinstance(e, ex.Var):
+        return names[e.name]
+    if isinstance(e, ex.Neg):
+        return -_sympy(e.arg, sp, names)
+    if isinstance(e, ex.Call):
+        return getattr(sp, e.fn)(_sympy(e.arg, sp, names))
+    ops = {ex.Add: sp.Add, ex.Sub: lambda a, b: a - b, ex.Mul: sp.Mul,
+           ex.Div: lambda a, b: a / b, ex.Pow: sp.Pow}
+    left, right = vars(e).values()
+    return ops[type(e)](_sympy(left, sp, names), _sympy(right, sp, names))
+
+
+def _random_hessian_cases(seed: int, count: int):
+    """(Lagrangian, t, y, v) for random expressions at well-behaved samples."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        tree = random_expression(rng)
+        point = well_behaved_sample(rng, tree)
+        if point is not None:
+            cases.append((Lagrangian.from_expression(ex.to_source(tree)), *point))
+    return cases
+
+
+def test_hessian_matches_sympy_second_derivatives():
+    sp = pytest.importorskip("sympy")
+    names = dict(zip("tyv", sp.symbols("t y v")))
+    _, y, v = names.values()
+    for L, *point in _random_hessian_cases(seed=21, count=60):
+        expr = _sympy(ex.parse(L.text), sp, names)
+        subs = dict(zip(names.values(), point))
+        exact = [float(sp.diff(expr, *wrt).evalf(30, subs=subs)) for wrt in ((y, y), (y, v), (v, v))]
+        got = L.hessian(*(np.array([x]) for x in point))
+        for h, ref in zip(got, exact):
+            assert h.shape == (1,)
+            assert abs(h[0] - ref) <= 1e-12 * max(1.0, abs(ref)), (L.text, point)
+
+
+def test_hessian_matches_central_differences():
+    # arrays of samples on the exact path, one _hessian_2x2 per sample on
+    # the callable path, which has no trees
+    for L, t, y, v in _random_hessian_cases(seed=22, count=60):
+        C = Lagrangian.from_callables(L, L.d2, L.d3)
+        ts, ys, vs = np.array([t]), np.array([y, y + 0.01])[:, None], np.array([v, v - 0.01])
+        exact = L.hessian(ts, ys, vs)
+        fd = C.hessian(ts, ys, vs)
+        assert [h.shape for h in fd] == [(2, 2)] * 3
+        for j, (h_exact, h_fd) in enumerate(zip(exact, fd)):
+            assert h_exact.shape == (2, 2)
+            assert np.allclose(h_fd, h_exact, rtol=1e-5, atol=1e-5), (L.text, j)
+        assert tuple(h[0, 0] for h in fd) == _hessian_2x2(C, t, y, v)
+
+
+def test_hessian_fails_where_ieee_arithmetic_hides_a_domain_fault():
+    # at t = 0 the inner 1/t divides by zero; IEEE arithmetic carries on
+    # through inf to a finite Hessian, the domain rules do not
+    L = Lagrangian.from_expression("v^2*(1 + 1/(1 + 1/t))")
+    t, y, v = np.zeros(3), np.ones(3), np.ones(3)
+    with np.errstate(all="ignore"):
+        vv = ex.compile_expr(L._trees["vv"], arrays=True)(t, y, v)
+    assert np.all(vv == 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=r"division by zero in '1\.0/t'"):
+            L.hessian(t, y, v)
+
+
+CONVEX_DELTA, CONVEX_NABLA = "t*v^2 + y^2", "v^2/2 + exp(y)"
+BASELINE_DELTA, BASELINE_NABLA = "t*v^2 + y^2", "exp(y)*v^2/2 + sin(t)*y"
+
+
+@pytest.mark.parametrize(
+    "scale, L_delta, L_nabla, alpha, beta, expected",
+    [
+        (T134, "t*v^2", "t*v^2", 0.0, 1.0, Certificate.GLOBAL_MIN),
+        (T134, "-v^2", "-v^2", 0.0, 1.0, Certificate.GLOBAL_MAX),
+        (T134, "y*v", "t*v^2", 0.0, 1.0, Certificate.LOCAL_ONLY),
+        (T134, "v^2 + y^1.5", "v^2 + y^1.5", 0.1, 2.0, Certificate.LOCAL_ONLY),
+        (TimeScale.sampled_interval(1, 2, 11), BASELINE_DELTA, BASELINE_NABLA, 0.0, 1.0,
+         Certificate.LOCAL_ONLY),
+        (TimeScale.sampled_interval(1, 2, 11), CONVEX_DELTA, CONVEX_NABLA, 0.0, 1.0,
+         Certificate.GLOBAL_MIN),
+    ],
+    ids=["tv2", "neg-v2", "yv", "box-leaves-domain", "baseline", "convex"],
+)
+def test_certify_verdict_same_for_expressions_and_callables(scale, L_delta, L_nabla, alpha, beta, expected):
+    exprs = [Lagrangian.from_expression(src) for src in (L_delta, L_nabla)]
+    calls = [Lagrangian.from_callables(L, L.d2, L.d3) for L in exprs]
+    p = DeltaNablaProblem(scale, 1.0, 1.0, *exprs, alpha, beta)
+    sol = solve(p)
+    assert sol.converged
+    assert certify(p, sol) is expected
+    assert certify(DeltaNablaProblem(scale, 1.0, 1.0, *calls, alpha, beta), sol) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +474,18 @@ def test_solve_reports_a_trajectory_that_leaves_the_domain(src, converged, certi
     assert sol.certificate is certificate
     assert sol.residual_el1 == sol.residual_el2 <= 1e-10
     assert np.isnan(sol.objective) == (not converged)
+
+
+def test_solve_reports_a_start_point_outside_the_domain():
+    # the linear start from -1 to 1 passes through y = 0, where d2 = 1/y fails
+    L = Lagrangian.from_expression("v^2 + log(y)")
+    p = DeltaNablaProblem(TimeScale.sampled_interval(0, 1, 7), 1, 1, L, L, -1, 1)
+    sol = solve(p)
+    assert not sol.converged
+    assert sol.iterations == 0
+    assert sol.certificate is Certificate.NONE
+    assert np.isnan(sol.objective)
+    assert not np.isfinite(sol.residual_el1) and not np.isfinite(sol.residual_el2)
 
 
 # ---------------------------------------------------------------------------
