@@ -33,7 +33,6 @@ from .variational import (
     Term,
     TermSumProblem,
     _nan_outside_domain,
-    _partials,
     _stencil,
     objective,
     solve,
@@ -135,7 +134,7 @@ def directional_el_residual(p: DirectionalProblem, y: GridFunction, strict: bool
     u = p.u
     e, s, slope = _stencil(_kind(u), ts, y.values)
     t_e = ts.points[e]
-    d2, d3 = _partials(p.L, t_e, u * y.values[s], u * slope)
+    d2, d3 = p.L.partials(t_e, u * y.values[s], u * slope)
     # u times the delta (u > 0) or nabla (u < 0) derivative of d3 along the
     # points t_e, minus u * d2; it lives on t_e truncated once more
     resid = u * (np.diff(d3) / np.diff(t_e)) - u * d2[e]

@@ -276,7 +276,10 @@ _ARRAY_NAMESPACE = {
     "_pow": np.power,
     "inf": np.inf,
     "nan": np.nan,
-    "_broadcast": lambda out, t, y, v: np.broadcast_arrays(out, t, y, v)[0],
+    "_broadcast": lambda out, t, y, v: (
+        out if np.shape(out) == np.shape(t) == np.shape(y) == np.shape(v)
+        else np.broadcast_arrays(out, t, y, v)[0]
+    ),
     **{name: getattr(np, name) for name in FUNCTIONS},
 }
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -69,13 +68,13 @@ class Lagrangian:
     Partials are analytic when the Lagrangian comes from a parsed
     expression (or is given explicit derivative callables) and fall back
     to central finite differences otherwise; ``source`` records which.
-    The value and the partials take Python floats.  ``hessian`` takes
-    arrays: a parsed expression evaluates its exact second partials on them
-    in one call each, any other Lagrangian takes central differences of
-    its partials sample by sample.
+    The value and the partials take Python floats.  ``values``,
+    ``partials`` and ``hessian`` take arrays: a parsed expression evaluates
+    each of its trees on them in one call, any other Lagrangian makes its
+    guarded scalar calls sample by sample.
     """
 
-    __slots__ = ("_fn", "_d2", "_d3", "_hess", "_trees", "source", "text")
+    __slots__ = ("_fn", "_d2", "_d3", "_arrays", "_trees", "source", "text")
 
     def __init__(
         self,
@@ -86,13 +85,13 @@ class Lagrangian:
         _trees: dict[str, expressions.Expr] | None = None,
         text: str | None = None,
         allow_fd: bool = True,
-        _hess: tuple[Callable, Callable, Callable] | None = None,
+        _arrays: dict[str, Callable] | None = None,
     ):
         if not callable(fn):
             raise ConfigurationError("Lagrangian needs a callable integrand")
         self._fn = fn
         self._trees = _trees
-        self._hess = _hess
+        self._arrays = _arrays
         self.text = text
         if d2 is None and not allow_fd:
             raise ConfigurationError("partial derivatives unavailable and finite differences disabled")
@@ -110,8 +109,8 @@ class Lagrangian:
         trees = {"L": tree, "d2": d2, "d3": d3,
                  "yy": diff(d2, "y"), "yv": diff(d2, "v"), "vv": diff(d3, "v")}
         fn, d2, d3 = (expressions.compile_expr(trees[key]) for key in ("L", "d2", "d3"))
-        hess = tuple(expressions.compile_expr(trees[key], arrays=True) for key in HESSIAN)
-        return cls(fn, d2, d3, source="analytic", _trees=trees, text=src, _hess=hess)
+        arrays = {key: expressions.compile_expr(e, arrays=True) for key, e in trees.items()}
+        return cls(fn, d2, d3, source="analytic", _trees=trees, text=src, _arrays=arrays)
 
     @classmethod
     def from_callables(
@@ -149,46 +148,72 @@ class Lagrangian:
             return self._guard(self._d3, t, y, v, "d3")
         return _central(self, t, y, v, 0.0, _fd_step(v))
 
-    def hessian(self, t, y, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Second partials (yy, yv, vv) at every sample of the broadcast
-        arrays t, y and v, each an array of the broadcast shape.
+    def _on_arrays(self, keys: tuple[str, ...], scalars: Sequence[Callable], t, y, v) -> tuple[np.ndarray, ...]:
+        """The functions named by ``keys`` (keys of ``_trees``) at every
+        sample of the broadcast arrays t, y and v, one array of the
+        broadcast shape each.
 
-        A parsed expression evaluates its exact second partials under the
+        A parsed expression evaluates each tree in one call, under the
         domain rules of ``expressions.evaluate``: a floating-point fault
-        other than underflow fails even where IEEE arithmetic would carry
-        on to a finite result, and so does a non-finite entry.  The first
-        failing sample is then evaluated again on the trees, so the
+        other than underflow fails even where IEEE arithmetic would carry on
+        to a finite result, and so does a non-finite entry.  The samples are
+        then evaluated again on the trees, one at a time, so the
         EvaluationError names the failing subexpression.  Any other
-        Lagrangian takes ``_hessian_2x2`` at each sample.
+        Lagrangian streams ``scalars``, one guarded scalar function per key,
+        over the samples.
         """
-        samples = np.broadcast_arrays(t, y, v)
-        floats = zip(*(map(float, a.flat) for a in samples))  # one sample at a time
-        if self._hess is None:
-            h = itertools.chain.from_iterable(_hessian_2x2(self, *s) for s in floats)
-            h = np.fromiter(h, float, count=3 * samples[0].size)
-            return tuple(np.moveaxis(h.reshape(samples[0].shape + (3,)), -1, 0))
+        if self._arrays is None:
+            shape, columns = _samples(t, y, v)
+            return tuple(
+                np.fromiter(itertools.starmap(f, zip(*columns)), float, count=math.prod(shape)).reshape(shape)
+                for f in scalars
+            )
         try:
             with np.errstate(all="raise", under="ignore"):
-                out = tuple(f(t, y, v) for f in self._hess)
-            if all(np.isfinite(h).all() for h in out):
+                out = tuple(self._arrays[key](t, y, v) for key in keys)
+            if all(np.isfinite(a).all() for a in out):
                 return out
-            why = "a non-finite second partial"
-        except FloatingPointError as exc:
+            why = "a non-finite result"
+        except ArithmeticError as exc:  # numpy's FloatingPointError, or a constant's
             why = str(exc)
-        for s in floats:
-            for key in HESSIAN:
+        for s in zip(*_samples(t, y, v)[1]):
+            for key in keys:
                 expressions.evaluate(self._trees[key], *s)
-        raise EvaluationError(f"hessian of {self.text!r}: {why}")
+        raise EvaluationError(f"{'/'.join(keys)} of {self.text!r}: {why}")
+
+    def values(self, t, y, v) -> np.ndarray:
+        """L at every sample of the broadcast arrays t, y and v."""
+        (out,) = self._on_arrays(("L",), (self,), t, y, v)
+        return out
+
+    def partials(self, t, y, v) -> tuple[np.ndarray, np.ndarray]:
+        """(d2, d3) at every sample of the broadcast arrays t, y and v."""
+        return self._on_arrays(("d2", "d3"), (self.d2, self.d3), t, y, v)
+
+    def hessian(self, t, y, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Second partials (yy, yv, vv) at every sample of the broadcast
+        arrays t, y and v: exact for a parsed expression, central
+        differences of the partials for any other Lagrangian."""
+        return self._on_arrays(HESSIAN, (self._fd_yy, self._fd_yv, self._fd_vv), t, y, v)
+
+    def _fd_yy(self, t: float, y: float, v: float) -> float:
+        return _central(self.d2, t, y, v, _fd_step(y), 0.0)
+
+    def _fd_yv(self, t: float, y: float, v: float) -> float:
+        """The mixed second partial, symmetrized."""
+        return 0.5 * (_central(self.d2, t, y, v, 0.0, _fd_step(v)) + _central(self.d3, t, y, v, _fd_step(y), 0.0))
+
+    def _fd_vv(self, t: float, y: float, v: float) -> float:
+        return _central(self.d3, t, y, v, 0.0, _fd_step(v))
 
 
-def _hessian_2x2(L: Lagrangian, t: float, y: float, v: float) -> tuple[float, float, float]:
-    """Symmetrized (d2y2, d2yv, d2v2) by central differences of the partials."""
-    hy, hv = _fd_step(y), _fd_step(v)
-    h_yy = _central(L.d2, t, y, v, hy, 0.0)
-    h_yv = _central(L.d2, t, y, v, 0.0, hv)
-    h_vy = _central(L.d3, t, y, v, hy, 0.0)
-    h_vv = _central(L.d3, t, y, v, 0.0, hv)
-    return h_yy, 0.5 * (h_yv + h_vy), h_vv
+def _samples(t, y, v) -> tuple[tuple[int, ...], list[memoryview]]:
+    """The broadcast shape of t, y and v, and each flattened to a column
+    that iterates as Python floats."""
+    arrays = [np.asarray(a, float) for a in (t, y, v)]
+    if not arrays[0].shape == arrays[1].shape == arrays[2].shape:
+        arrays = np.broadcast_arrays(*arrays)
+    return arrays[0].shape, [memoryview(a.ravel()) for a in arrays]
 
 
 @dataclass(frozen=True)
@@ -276,13 +301,6 @@ def _stencil(kind: str, ts: TimeScale, y: np.ndarray) -> tuple[slice, slice, np.
     return e, s, np.diff(y) / ts.gaps()
 
 
-def _partials(L: Lagrangian, t: np.ndarray, y: np.ndarray, v: np.ndarray):
-    """d2 and d3 of L along stencil arrays, evaluated on Python floats."""
-    pairs = [(L.d2(*a), L.d3(*a)) for a in zip(t.tolist(), y.tolist(), v.tolist())]
-    d2, d3 = np.array(pairs).T
-    return d2, d3
-
-
 def objective(p: TermSumProblem, y: GridFunction) -> float:
     """Value of the functional at an arbitrary trajectory on the problem's
     scale (boundary values need not match the problem's)."""
@@ -291,8 +309,9 @@ def objective(p: TermSumProblem, y: GridFunction) -> float:
     total = 0.0
     for term in p.active_terms:
         e, s, slope = _stencil(term.kind, ts, y.values)
-        values = map(term.lagrangian, ts.points[e].tolist(), y.values[s].tolist(), slope.tolist())
-        total += term.weight * sum(map(operator.mul, ts.gaps().tolist(), values))
+        values = term.lagrangian.values(ts.points[e], y.values[s], slope)
+        # summed left to right (numpy's sum is pairwise), so the last bit does not depend on numpy
+        total += term.weight * sum((ts.gaps() * values).tolist())
     return total
 
 
@@ -308,7 +327,7 @@ def _el_form(p: TermSumProblem, y: GridFunction) -> np.ndarray:
     F = np.zeros(len(ts) - 1)
     for term in p.active_terms:
         e, s, slope = _stencil(term.kind, ts, y.values)
-        d2, d3 = _partials(term.lagrangian, ts.points[e], y.values[s], slope)
+        d2, d3 = term.lagrangian.partials(ts.points[e], y.values[s], slope)
         prefix = np.concatenate([[0.0], np.cumsum(ts.gaps() * d2)])
         F += term.weight * (d3 - prefix[e])
     return F - np.mean(F)
@@ -348,7 +367,7 @@ def first_variation(p: TermSumProblem, y: GridFunction, eta: GridFunction) -> fl
     total = 0.0
     for term in p.active_terms:
         e, s, slope = _stencil(term.kind, ts, y.values)
-        d2, d3 = _partials(term.lagrangian, ts.points[e], y.values[s], slope)
+        d2, d3 = term.lagrangian.partials(ts.points[e], y.values[s], slope)
         total += term.weight * float(ts.gaps() * d2 @ ev[s] + d3 @ np.diff(ev))
     return total
 
@@ -362,7 +381,7 @@ def gradient(p: TermSumProblem, y: GridFunction) -> np.ndarray:
     g = np.zeros(len(ts) - 2)
     for term in p.active_terms:
         e, s, slope = _stencil(term.kind, ts, y.values)
-        d2, d3 = _partials(term.lagrangian, ts.points[e], y.values[s], slope)
+        d2, d3 = term.lagrangian.partials(ts.points[e], y.values[s], slope)
         # gap * d2 lands on the state point; d3 enters each gap's right end
         # and leaves its left end
         full = np.zeros(len(ts))
@@ -432,9 +451,11 @@ def solve(
 ) -> Solution:
     """Find a stationary trajectory by damped Newton on the gradient.
 
-    The Hessian is taken by central differences of the gradient; steps
-    backtrack on the gradient norm, and a trial step whose gradient leaves
-    the Lagrangian's domain is rejected like one that does not descend.
+    The Hessian is taken by central differences of the gradient; when it is
+    singular, or a probe x +- h leaves the Lagrangian's domain, the step is
+    steepest descent.  Steps backtrack on the gradient norm, and a trial
+    step whose gradient leaves the Lagrangian's domain is rejected like one
+    that does not descend.
     Non-convergence is reported in the returned Solution, never raised: a
     stationary point where the objective itself cannot be evaluated gives
     ``converged=False`` and ``objective=nan``, with its residuals, and a
@@ -460,17 +481,17 @@ def solve(
         if gnorm <= gtol:
             break
         H = np.empty((n, n))
-        for j in range(n):
-            h = _fd_step(x[j])
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            H[:, j] = (gradient(p, _assemble(p, xp)) - gradient(p, _assemble(p, xm))) / (2.0 * h)
-        H = 0.5 * (H + H.T)
         try:
+            for j in range(n):
+                h = _fd_step(x[j])
+                xp = x.copy()
+                xm = x.copy()
+                xp[j] += h
+                xm[j] -= h
+                H[:, j] = (gradient(p, _assemble(p, xp)) - gradient(p, _assemble(p, xm))) / (2.0 * h)
+            H = 0.5 * (H + H.T)
             step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, EvaluationError):  # singular, or a probe left the domain
             step = -g
         # backtrack on the gradient norm
         lam = 1.0

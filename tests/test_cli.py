@@ -131,9 +131,9 @@ def test_cmd_solve_directional_file(tmp_path):
         "boundary": {"alpha": 0.0, "beta": 1.0},
     }
     problem = write_problem(tmp_path, data)
-    report = str(tmp_path / "r.json")
-    assert main(["solve", problem, "--report", report]) == 0
-    loaded = json.load(open(report))
+    report = tmp_path / "r.json"
+    assert main(["solve", problem, "--report", str(report)]) == 0
+    loaded = json.loads(report.read_text())
     assert loaded["trajectory"]["y"][1] == pytest.approx(6 / 7, abs=1e-9)
     assert loaded["residuals"]["directional_max"] <= 1e-9
 
@@ -156,10 +156,10 @@ def test_cmd_solve_nonconverged_exit_2(tmp_path):
     data["lagrangian_delta"] = "sin(10*y)*v^2 + v^2 + y^2"
     data["lagrangian_nabla"] = "sin(10*y)*v^2 + v^2 + y^2"
     data["solver"] = {"max_iter": 1}
-    report = str(tmp_path / "report.json")
-    code = main(["solve", write_problem(tmp_path, data), "--report", report])
+    report = tmp_path / "report.json"
+    code = main(["solve", write_problem(tmp_path, data), "--report", str(report)])
     assert code == 2
-    assert json.load(open(report))["converged"] is False
+    assert json.loads(report.read_text())["converged"] is False
 
 
 def _raise_on_constant(name):
@@ -202,12 +202,12 @@ def test_cmd_solve_start_outside_the_domain_exit_2(tmp_path, capsys):
 
 def test_csv_and_report_deterministic(tmp_path):
     problem = write_problem(tmp_path, EXAMPLE)
-    a_csv, b_csv = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    a_json, b_json = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert main(["solve", problem, "--out", a_csv, "--report", a_json]) == 0
-    assert main(["solve", problem, "--out", b_csv, "--report", b_json]) == 0
-    assert open(a_csv).read() == open(b_csv).read()
-    assert open(a_json).read() == open(b_json).read()
+    a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"
+    a_json, b_json = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["solve", problem, "--out", str(a_csv), "--report", str(a_json)]) == 0
+    assert main(["solve", problem, "--out", str(b_csv), "--report", str(b_json)]) == 0
+    assert a_csv.read_text() == b_csv.read_text()
+    assert a_json.read_text() == b_json.read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 certificates, and the local-minimizer probe."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from deltanabla import (
     Certificate,
     ConfigurationError,
     DeltaNablaProblem,
+    DirectionalProblem,
     DomainError,
     EvaluationError,
     GridFunction,
@@ -19,11 +21,14 @@ from deltanabla import (
     TermSumProblem,
     TimeScale,
     certify,
+    directional_el_residual,
     el_residual_1,
     el_residual_2,
     first_variation,
     gradient,
     hat_variation,
+    linear_interpolant,
+    load_problem,
     local_min_probe,
     norm_1_inf,
     objective,
@@ -31,7 +36,7 @@ from deltanabla import (
     solve,
 )
 from deltanabla import expressions as ex
-from deltanabla.variational import _hessian_2x2
+from deltanabla.variational import _central, _fd_step
 from conftest import random_expression, well_behaved_sample
 
 T134 = TimeScale([1.0, 3.0, 4.0])
@@ -95,7 +100,7 @@ def test_lagrangian_nan_raises_evaluation_error():
 
 
 # ---------------------------------------------------------------------------
-# second partials
+# evaluation on arrays: values, first and second partials
 # ---------------------------------------------------------------------------
 
 
@@ -115,7 +120,7 @@ def _sympy(e, sp, names):
     return ops[type(e)](_sympy(left, sp, names), _sympy(right, sp, names))
 
 
-def _random_hessian_cases(seed: int, count: int):
+def _random_cases(seed: int, count: int):
     """(Lagrangian, t, y, v) for random expressions at well-behaved samples."""
     rng = np.random.default_rng(seed)
     cases = []
@@ -131,7 +136,7 @@ def test_hessian_matches_sympy_second_derivatives():
     sp = pytest.importorskip("sympy")
     names = dict(zip("tyv", sp.symbols("t y v")))
     _, y, v = names.values()
-    for L, *point in _random_hessian_cases(seed=21, count=60):
+    for L, *point in _random_cases(seed=21, count=60):
         expr = _sympy(ex.parse(L.text), sp, names)
         subs = dict(zip(names.values(), point))
         exact = [float(sp.diff(expr, *wrt).evalf(30, subs=subs)) for wrt in ((y, y), (y, v), (v, v))]
@@ -142,9 +147,9 @@ def test_hessian_matches_sympy_second_derivatives():
 
 
 def test_hessian_matches_central_differences():
-    # arrays of samples on the exact path, one _hessian_2x2 per sample on
-    # the callable path, which has no trees
-    for L, t, y, v in _random_hessian_cases(seed=22, count=60):
+    # arrays of samples on the exact path, central differences of the
+    # partials sample by sample on the callable path, which has no trees
+    for L, t, y, v in _random_cases(seed=22, count=60):
         C = Lagrangian.from_callables(L, L.d2, L.d3)
         ts, ys, vs = np.array([t]), np.array([y, y + 0.01])[:, None], np.array([v, v - 0.01])
         exact = L.hessian(ts, ys, vs)
@@ -153,7 +158,9 @@ def test_hessian_matches_central_differences():
         for j, (h_exact, h_fd) in enumerate(zip(exact, fd)):
             assert h_exact.shape == (2, 2)
             assert np.allclose(h_fd, h_exact, rtol=1e-5, atol=1e-5), (L.text, j)
-        assert tuple(h[0, 0] for h in fd) == _hessian_2x2(C, t, y, v)
+        hy, hv = _fd_step(y), _fd_step(v)
+        yv = 0.5 * (_central(C.d2, t, y, v, 0.0, hv) + _central(C.d3, t, y, v, hy, 0.0))
+        assert tuple(h[0, 0] for h in fd) == (_central(C.d2, t, y, v, hy, 0.0), yv, _central(C.d3, t, y, v, 0.0, hv))
 
 
 def test_hessian_fails_where_ieee_arithmetic_hides_a_domain_fault():
@@ -168,6 +175,66 @@ def test_hessian_fails_where_ieee_arithmetic_hides_a_domain_fault():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match=r"division by zero in '1\.0/t'"):
             L.hessian(t, y, v)
+
+
+def test_array_evaluation_matches_the_scalar_functions():
+    # one numpy call per tree over several samples, against the compiled
+    # scalar functions sample by sample
+    rng = np.random.default_rng(23)
+    for L, *point in _random_cases(seed=23, count=60):
+        draws = (well_behaved_sample(rng, L._trees["L"]) for _ in range(8))
+        samples = [point] + [s for s in draws if s is not None]
+        t, y, v = np.array(samples).T
+        for got, scalar in zip((L.values(t, y, v), *L.partials(t, y, v)), (L, L.d2, L.d3)):
+            ref = np.array([scalar(*s) for s in samples])
+            assert got.shape == t.shape
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), L.text
+
+
+def test_first_partials_match_sympy():
+    sp = pytest.importorskip("sympy")
+    names = dict(zip("tyv", sp.symbols("t y v")))
+    for L, *point in _random_cases(seed=24, count=60):
+        expr = _sympy(ex.parse(L.text), sp, names)
+        subs = dict(zip(names.values(), point))
+        exact = [float(sp.diff(expr, names[x]).evalf(30, subs=subs)) for x in "yv"]
+        got = L.partials(*(np.array([x]) for x in point))
+        for d, ref in zip(got, exact):
+            assert abs(d[0] - ref) <= 1e-12 * max(1.0, abs(ref)), (L.text, point)
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
+
+
+def _as_callables(L: Lagrangian) -> Lagrangian:
+    return Lagrangian.from_callables(L, L.d2, L.d3)
+
+
+@pytest.mark.parametrize("name", ["directional_backward", "mixed_weights", "sampled_interval"])
+def test_expression_and_callable_lagrangians_agree_on_the_demo_problems(name):
+    # the same integrands on the array path and sample by sample through
+    # guarded scalar calls; a directional file is checked on its inner L
+    loaded = load_problem(PROBLEMS / f"{name}.json")
+    prob = loaded.problem
+    if loaded.kind == "directional":
+        terms = [Term(1.0, prob.L, "delta" if prob.u > 0 else "nabla")]
+    else:
+        terms = prob.terms
+    exprs = TermSumProblem(prob.scale, terms, prob.alpha, prob.beta)
+    calls = TermSumProblem(
+        prob.scale, [Term(t.weight, _as_callables(t.lagrangian), t.kind) for t in terms], prob.alpha, prob.beta
+    )
+    y = GridFunction(prob.scale, np.random.default_rng(25).uniform(0.5, 1.5, len(prob.scale)))
+    assert objective(calls, y) == pytest.approx(objective(exprs, y), rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(gradient(calls, y), gradient(exprs, y), rtol=1e-12, atol=1e-12)
+    if loaded.kind == "directional":
+        wrapped = DirectionalProblem(prob.scale, prob.u, _as_callables(prob.L), prob.alpha, prob.beta)
+        np.testing.assert_allclose(
+            directional_el_residual(wrapped, y).values,
+            directional_el_residual(prob, y).values,
+            rtol=1e-12,
+            atol=1e-12,
+        )
 
 
 CONVEX_DELTA, CONVEX_NABLA = "t*v^2 + y^2", "v^2/2 + exp(y)"
@@ -252,15 +319,28 @@ def test_objective_zero_for_constant_trajectory():
     ids=["objective", "gradient", "el_residual_1", "objective-overflow", "gradient-folded-inf"],
 )
 def test_evaluation_errors_name_the_subexpression(fn, src, match):
-    # the integrand and its partials see Python floats; any failure is
-    # re-evaluated on its expression tree, which names the failing
-    # subexpression, and no numpy warning escapes
+    # the integrand and its partials are evaluated on arrays; any failure is
+    # re-evaluated on its expression tree, sample by sample, which names the
+    # failing subexpression, and no numpy warning escapes
     L = Lagrangian.from_expression(src)
     p = DeltaNablaProblem(T134, 1.0, 1.0, L, L, 0.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match=match):
             fn(p, GridFunction(T134, [0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("fn", [objective, gradient, el_residual_2])
+def test_evaluation_fails_where_ieee_arithmetic_hides_a_domain_fault(fn):
+    # at t = 0 the inner 1/t divides by zero; IEEE arithmetic carries on
+    # through inf to a finite value, the domain rules do not
+    L = Lagrangian.from_expression("v^2*(1 + 1/(1 + 1/t))")
+    ts = TimeScale.sampled_interval(0.0, 1.0, 5)
+    p = DeltaNablaProblem(ts, 1.0, 1.0, L, L, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=r"division by zero in '1\.0/t'"):
+            fn(p, linear_interpolant(p))
 
 
 def test_time_reversal_swaps_delta_and_nabla():
@@ -474,6 +554,19 @@ def test_solve_reports_a_trajectory_that_leaves_the_domain(src, converged, certi
     assert sol.certificate is certificate
     assert sol.residual_el1 == sol.residual_el2 <= 1e-10
     assert np.isnan(sol.objective) == (not converged)
+
+
+def test_solve_steps_downhill_when_a_hessian_probe_leaves_the_domain():
+    # at y[3] = 5e-7 the probe y[3] - 1e-6 is negative, where log(y) fails;
+    # the step is then steepest descent, as for a singular Hessian
+    L = Lagrangian.from_expression("v^2 + y*log(y)")
+    ts = TimeScale.sampled_interval(0, 1, 7)
+    p = DeltaNablaProblem(ts, 1, 1, L, L, 1, 1)
+    init = np.ones(7)
+    init[3] = 5e-7
+    sol = solve(p, init=GridFunction(ts, init))
+    assert sol.converged and sol.iterations > 0
+    assert np.all(sol.y.values > 0)
 
 
 def test_solve_reports_a_start_point_outside_the_domain():
