@@ -2,7 +2,7 @@
 
     deltanabla solve PROBLEM.json [--out traj.csv] [--report report.json]
     deltanabla identities [--seed N] [--trials N]
-    deltanabla check PROBLEM.json TRAJECTORY.csv
+    deltanabla check PROBLEM.json TRAJECTORY.csv [--probe-trials N] [--seed N]
 
 Exit codes: 0 success, 1 input or validation error, 2 numerical failure
 (non-convergence, identity failure, or residuals above tolerance).
@@ -172,6 +172,9 @@ def _read_trajectory_csv(path: str, loaded: LoadedProblem) -> GridFunction:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.probe_trials < 0:
+        print("error: --probe-trials must be nonnegative", file=sys.stderr)
+        return EXIT_INPUT
     loaded = load_problem(args.problem)
     y = _read_trajectory_csv(args.trajectory, loaded)
     core = loaded.problem if loaded.kind == "delta-nabla" else reduced_problem(loaded.problem)
@@ -192,6 +195,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         iterations=0,
         converged=ok,
     )
+    if args.probe_trials == 0:
+        print("warning: --probe-trials 0 checks nothing; vacuous pass")
     probe = local_min_probe(core, sol, n_trials=args.probe_trials, seed=args.seed)
     print(f"local-minimum probe ({args.probe_trials} trials): {'pass' if probe else 'FAIL'}")
     print("stationary within tolerance" if ok else "NOT stationary within tolerance")

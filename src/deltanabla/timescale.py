@@ -54,20 +54,27 @@ class DomainTag(Enum):
 
 
 class TimeScale:
-    """A finite strictly increasing set of real time points."""
+    """A finite strictly increasing set of real time points.
 
-    __slots__ = ("points",)
+    The points and their gaps are computed once, validated and stored
+    read-only.
+    """
+
+    __slots__ = ("points", "_gaps")
 
     def __init__(self, points: Iterable[float]):
-        pts = np.asarray(list(points), dtype=float)
+        pts = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise DomainError("a time scale needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise DomainError("time scale points must be finite")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
+        gaps = np.diff(pts)
+        if not np.all(gaps > 0):
             raise DomainError("time scale points must be strictly increasing")
         pts.setflags(write=False)
+        gaps.setflags(write=False)
         self.points = pts
+        self._gaps = gaps
 
     @classmethod
     def sampled_interval(cls, a: float, b: float, n: int) -> "TimeScale":
@@ -106,6 +113,8 @@ class TimeScale:
         return f"TimeScale({{{inner}}})"
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, TimeScale):
             return NotImplemented
         return self.points.shape == other.points.shape and bool(
@@ -159,16 +168,19 @@ class TimeScale:
 
         A truncation only removes an endpoint while more than one point
         remains (a one-point scale is its own truncation, matching
-        sigma(b) = b and rho(a) = a).
+        sigma(b) = b and rho(a) = a).  The result shares this scale's
+        points and gaps: a contiguous slice of them is valid as it stands.
         """
-        pts = self.points
+        pts, gaps = self.points, self._gaps
         for _ in range(tag.drop_right):
             if pts.size >= 2:
-                pts = pts[:-1]
+                pts, gaps = pts[:-1], gaps[:-1]
         for _ in range(tag.drop_left):
             if pts.size >= 2:
-                pts = pts[1:]
-        return TimeScale(pts)
+                pts, gaps = pts[1:], gaps[1:]
+        ts = object.__new__(TimeScale)
+        ts.points, ts._gaps = pts, gaps
+        return ts
 
     @property
     def interior_points(self) -> np.ndarray:
@@ -176,8 +188,9 @@ class TimeScale:
         return self.points[1:-1]
 
     def gaps(self) -> np.ndarray:
-        """Consecutive point spacings, length len(self) - 1."""
-        return np.diff(self.points)
+        """Consecutive point spacings, length len(self) - 1: one read-only
+        array, computed when the scale is built."""
+        return self._gaps
 
 
 class GridFunction:

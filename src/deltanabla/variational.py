@@ -293,26 +293,37 @@ def _stencil(kind: str, ts: TimeScale, y: np.ndarray) -> tuple[slice, slice, np.
     Gap i joins points i and i+1, and a term evaluates its integrand at
     (t_e, y_s, (y_{i+1} - y_i) / gap_i) with (e, s) = (i, i+1) for a delta
     term and (e, s) = (i+1, i) for a nabla term.  Returns the slices e and s
-    over the scale points and the slopes, one per gap.  This is the only
-    place where the two kinds differ.
+    over the scale points and the slopes, one per gap, differenced along
+    the last axis of y, so a stack of trajectories gets one row of slopes
+    each.  This is the only place where the two kinds differ.
     """
     left, right = slice(None, -1), slice(1, None)
     e, s = (left, right) if kind == "delta" else (right, left)
-    return e, s, np.diff(y) / ts.gaps()
+    return e, s, np.diff(y, axis=-1) / ts.gaps()
+
+
+def _objectives(p: TermSumProblem, ys: np.ndarray) -> np.ndarray:
+    """The objective at every trajectory of ys, a stack of value arrays on
+    the problem's scale along its last axis: one call per term for the
+    whole stack.  Each row's gap * L sum is accumulated left to right by
+    ``np.cumsum``, whatever the Python and the numpy, never pairwise or
+    compensated."""
+    ts = p.scale
+    total = np.zeros(ys.shape[:-1])
+    for term in p.active_terms:
+        e, s, slope = _stencil(term.kind, ts, ys)
+        values = term.lagrangian.values(ts.points[e], ys[..., s], slope)
+        total += term.weight * np.cumsum(ts.gaps() * values, axis=-1)[..., -1]
+    return total
 
 
 def objective(p: TermSumProblem, y: GridFunction) -> float:
     """Value of the functional at an arbitrary trajectory on the problem's
-    scale (boundary values need not match the problem's)."""
+    scale (boundary values need not match the problem's): the one-row case
+    of the stacked objective, so each term's gap * L values are summed
+    left to right."""
     _check_scales(p, y)
-    ts = p.scale
-    total = 0.0
-    for term in p.active_terms:
-        e, s, slope = _stencil(term.kind, ts, y.values)
-        values = term.lagrangian.values(ts.points[e], y.values[s], slope)
-        # summed left to right (numpy's sum is pairwise), so the last bit does not depend on numpy
-        total += term.weight * sum((ts.gaps() * values).tolist())
-    return total
+    return float(_objectives(p, y.values))
 
 
 def _el_form(p: TermSumProblem, y: GridFunction) -> np.ndarray:
@@ -535,7 +546,7 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
-CERTIFY_BLOCK = 4096  # samples per block of scale points; bounds certify's arrays
+CERTIFY_BLOCK = 4096  # samples per block; bounds the arrays of certify and local_min_probe
 
 
 def _sample_box(values: np.ndarray, inflate: float) -> tuple[float, float]:
@@ -607,21 +618,25 @@ def certify(
 # ---------------------------------------------------------------------------
 
 
-def norm_1_inf(y: GridFunction) -> float:
-    """Sum of the sup norms of y^sigma, y^rho, y^Delta, y^nabla, each taken
-    over the interior points."""
-    ts = y.scale
+def _norms(ts: TimeScale, etas: np.ndarray) -> np.ndarray:
+    """``norm_1_inf`` of every trajectory of etas, a stack of value arrays
+    on ts along its last axis."""
     if len(ts) < 3:
         raise DomainError("the norm needs at least one interior point")
-    vals = y.values
     M = len(ts) - 1
-    sup_sigma = float(np.max(np.abs(vals[2 : M + 1])))
-    sup_rho = float(np.max(np.abs(vals[0 : M - 1])))
-    dvals = delta_derivative(y).values
-    nvals = nabla_derivative(y).values
-    sup_delta = float(np.max(np.abs(dvals[1:M])))
-    sup_nabla = float(np.max(np.abs(nvals[0 : M - 1])))
-    return sup_sigma + sup_rho + sup_delta + sup_nabla
+    _, _, slopes = _stencil("delta", ts, etas)  # y^Delta on [a, b), y^nabla on (a, b]
+
+    def sup(a: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(a), axis=-1)
+
+    return (sup(etas[..., 2 : M + 1]) + sup(etas[..., : M - 1])
+            + sup(slopes[..., 1:M]) + sup(slopes[..., : M - 1]))
+
+
+def norm_1_inf(y: GridFunction) -> float:
+    """Sum of the sup norms of y^sigma, y^rho, y^Delta, y^nabla, each taken
+    over the interior points: the one-row case of the stacked norm."""
+    return float(_norms(y.scale, y.values))
 
 
 def local_min_probe(
@@ -636,21 +651,37 @@ def local_min_probe(
 
     Draws admissible variations vanishing at both endpoints, scales each
     into the delta-ball of the trajectory norm, and requires the objective
-    not to drop by more than ``slack``.
+    not to drop by more than ``slack``.  Each trial draws its interior
+    values, skipped when all are zero (its norm is then zero), and then
+    its step factor.  The trials are evaluated as stacks of up to
+    ``CERTIFY_BLOCK // len(p.scale)`` trajectories.  A stack that fails to
+    evaluate is evaluated again one trial at a time, so the verdict, or
+    the error raised, is the first failing trial's, as if every trial
+    were evaluated on its own.
     """
+    if n_trials < 0:
+        raise DomainError(f"n_trials must be nonnegative, got {n_trials}")
     rng = np.random.default_rng(seed)
     base = objective(p, sol.y)
     ts = p.scale
-    n_int = len(ts) - 2
-    for _ in range(n_trials):
-        eta_vals = np.zeros(len(ts))
-        eta_vals[1:-1] = rng.standard_normal(n_int)
-        eta = GridFunction(ts, eta_vals)
-        size = norm_1_inf(eta)
-        if size == 0.0:
-            continue
-        eps = rng.uniform(0.0, 1.0) * delta / (2.0 * size)
-        trial = objective(p, GridFunction(ts, sol.y.values + eps * eta_vals))
-        if trial < base - slack:
+    n = len(ts)
+    block = max(1, CERTIFY_BLOCK // n)
+    for start in range(0, n_trials, block):
+        interiors, factors = [], []
+        for _ in range(min(block, n_trials - start)):
+            eta = rng.standard_normal(n - 2)
+            if eta.any():
+                interiors.append(eta)
+                factors.append(rng.uniform(0.0, 1.0))
+        etas = np.pad(np.reshape(interiors, (len(interiors), n - 2)), ((0, 0), (1, 1)))
+        eps = np.array(factors) * delta / (2.0 * _norms(ts, etas))
+        ys = sol.y.values + eps[:, None] * etas
+        try:  # a trajectory that is not finite fails in GridFunction below, as on its own
+            trials = _objectives(p, ys) if np.isfinite(ys).all() else None
+        except EvaluationError:
+            trials = None
+        if trials is None:
+            trials = (objective(p, GridFunction(ts, row)) for row in ys)
+        if any(trial < base - slack for trial in trials):
             return False
     return True

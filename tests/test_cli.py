@@ -288,3 +288,21 @@ def test_solve_then_check_round_trip(tmp_path):
     out_csv = str(tmp_path / "sol.csv")
     assert main(["solve", problem, "--out", out_csv]) == 0
     assert main(["check", problem, out_csv]) == 0
+
+
+def test_cmd_check_negative_probe_trials_is_an_input_error(tmp_path, capsys):
+    problem = write_problem(tmp_path, EXAMPLE)
+    traj = write_trajectory(tmp_path, [1, 3, 4], [0.0, 7 / 9, 1.0])
+    assert main(["check", problem, traj, "--probe-trials", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --probe-trials must be nonnegative\n"
+    assert captured.out == ""
+
+
+def test_cmd_check_zero_probe_trials_warns(tmp_path, capsys):
+    problem = write_problem(tmp_path, EXAMPLE)
+    traj = write_trajectory(tmp_path, [1, 3, 4], [0.0, 7 / 9, 1.0])
+    assert main(["check", problem, traj, "--probe-trials", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "warning: --probe-trials 0 checks nothing; vacuous pass" in out
+    assert "stationary within tolerance" in out

@@ -46,6 +46,47 @@ def test_constructor_rejects_nonfinite():
         TimeScale([0.0, np.inf])
 
 
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize(
+    "points",
+    [[0.0, np.nan, 1.0], [1.0, 3.0, 2.0], [1.0, 1.0, 2.0], [[0.0, 1.0], [2.0, 3.0]], []],
+    ids=["nan", "decreasing", "duplicate", "2-d", "empty"],
+)
+def test_constructor_rejects_invalid_points(points, as_array):
+    with pytest.raises(DomainError):
+        TimeScale(np.array(points) if as_array else points)
+
+
+def test_constructor_takes_generators_and_copies_arrays():
+    assert TimeScale(t for t in (0.0, 0.5, 2.0)) == TimeScale([0.0, 0.5, 2.0])
+    source = np.array([0.0, 0.5, 2.0])
+    ts = TimeScale(source)
+    source[1] = 1.0
+    assert ts.points.tolist() == [0.0, 0.5, 2.0]
+    assert ts.gaps().tolist() == [0.5, 1.5]
+
+
+@pytest.mark.parametrize("points", [[2.0], [1.0, 2.5], [0.0, 0.3, 1.0], [-1.0, 0.1, 0.7, 5.0]])
+def test_truncations_equal_freshly_built_scales(points):
+    ts = TimeScale(points)
+    for tag in DomainTag:
+        for cut in (ts.truncated(tag), ts.truncated(DomainTag.KAPPA).truncated(tag)):
+            fresh = TimeScale(cut.points.tolist())
+            assert cut.points.tobytes() == fresh.points.tobytes()
+            assert cut.gaps().tobytes() == fresh.gaps().tobytes()
+            assert cut == fresh and hash(cut) == hash(fresh)
+
+
+def test_points_and_gaps_are_read_only():
+    ts = TimeScale([0.0, 0.3, 1.0, 1.5])
+    for scale in (ts, ts.truncated(DomainTag.KAPPA_BOTH)):
+        for array in (scale.points, scale.gaps()):
+            with pytest.raises(ValueError):
+                array[0] = 9.0
+    assert ts.gaps() is ts.gaps()
+    assert ts == ts
+
+
 def test_single_point_scale_constructible_but_ops_rejected():
     ts = TimeScale([2.0])
     f = GridFunction(ts, [1.0])

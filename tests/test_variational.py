@@ -1,6 +1,9 @@
 """Delta-nabla problems: objective, Euler-Lagrange residuals, solver,
 certificates, and the local-minimizer probe."""
 
+import functools
+import math
+import operator
 import warnings
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from deltanabla import (
     GridFunction,
     Lagrangian,
     ScaleMismatchError,
+    Solution,
     Term,
     TermSumProblem,
     TimeScale,
@@ -36,7 +40,8 @@ from deltanabla import (
     solve,
 )
 from deltanabla import expressions as ex
-from deltanabla.variational import _central, _fd_step
+from deltanabla import variational
+from deltanabla.variational import _central, _fd_step, _objectives
 from conftest import random_expression, well_behaved_sample
 
 T134 = TimeScale([1.0, 3.0, 4.0])
@@ -672,3 +677,108 @@ def test_probe_fails_at_non_stationary_point():
     fake = solve(p)
     fake.y = GridFunction(T134, [0.0, 0.2, 1.0])  # far from the extremal
     assert not local_min_probe(p, fake, n_trials=200)
+
+
+def test_stacked_objective_sums_each_row_left_to_right():
+    # with L = y on unit gaps the delta term's gap * L values are y[1:]:
+    # left to right, 1e16 + 1.0 rounds to 1e16 and the 1.0 is lost, where a
+    # compensated sum (Python's sum from 3.12 on, math.fsum) keeps it and
+    # numpy's pairwise np.sum (eight partial sums from ten values on) may
+    ts = TimeScale(np.arange(11.0))
+    p = TermSumProblem(ts, [Term(1.0, Lagrangian.from_expression("y"), "delta")], 0.0, 0.0)
+    values = [1e16] + [1.0] * 8 + [-1e16]
+    rng = np.random.default_rng(3)
+    rows = np.array([[0.0] + values] + [[0.0, *rng.permutation(values)] for _ in range(11)])
+    stacked = _objectives(p, rows)
+    left_to_right = [functools.reduce(operator.add, (ts.gaps() * row[1:]).tolist(), 0.0) for row in rows]
+    for row, value, expected in zip(rows, stacked, left_to_right):
+        assert value == objective(p, GridFunction(ts, row))
+        assert value == expected
+    assert stacked[0] == 0.0
+    # the rows tell the three orders apart
+    assert any(math.fsum(row) != expected for row, expected in zip(rows, left_to_right))
+    assert any(np.sum(row) != expected for row, expected in zip(rows, left_to_right))
+
+
+def reference_probe(p, sol, n_trials, delta, seed, slack=1e-12):
+    """The probe as a plain loop that draws and evaluates one trial at a
+    time."""
+    rng = np.random.default_rng(seed)
+    base = objective(p, sol.y)
+    ts = p.scale
+    for _ in range(n_trials):
+        eta = np.zeros(len(ts))
+        eta[1:-1] = rng.standard_normal(len(ts) - 2)
+        size = norm_1_inf(GridFunction(ts, eta))
+        if size == 0.0:
+            continue
+        eps = rng.uniform(0.0, 1.0) * delta / (2.0 * size)
+        if objective(p, GridFunction(ts, sol.y.values + eps * eta)) < base - slack:
+            return False
+    return True
+
+
+class SometimesZeroNormals:
+    """A generator whose normal draws are all zero whenever the first of
+    them exceeds 1, so that some trials are skipped."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+
+    def standard_normal(self, size):
+        draw = self._rng.standard_normal(size)
+        return np.zeros(size) if draw[0] > 1.0 else draw
+
+    def uniform(self, low, high):
+        return self._rng.uniform(low, high)
+
+
+def _outcome(probe, *args):
+    try:
+        return probe(*args)
+    except EvaluationError as exc:
+        return "error", str(exc)
+
+
+PROBE_TS = TimeScale.sampled_interval(0.0, 1.0, 9)
+
+
+@pytest.mark.parametrize(
+    "src, delta, kinds",
+    [
+        ("t*v^2 + y^2", 0.1, {True}),
+        ("v^2 - 40*y^2", 0.1, {True, False}),
+        # the larger perturbations reach y <= -1, where log(y + 1) fails;
+        # seed 5 fails at trial 32 and leaves the domain at trial 44
+        ("v^2 - 40*y^2 + 1e-9*log(y + 1)", 40.0, {True, False, "error"}),
+    ],
+    ids=["convex", "saddle", "domain"],
+)
+@pytest.mark.parametrize("zero_draws", [False, True], ids=["normal", "zero-draws"])
+def test_probe_matches_a_trial_by_trial_loop(monkeypatch, src, delta, kinds, zero_draws):
+    # blocks of 16 trials on 9 points; counts below, at and past a block
+    monkeypatch.setattr(variational, "CERTIFY_BLOCK", 16 * len(PROBE_TS))
+    if zero_draws:
+        monkeypatch.setattr(np.random, "default_rng", SometimesZeroNormals)
+    # the convex case probes its solution from 0 to 1, the others y = 0
+    convex = src.startswith("t")
+    L = Lagrangian.from_expression(src)
+    p = DeltaNablaProblem(PROBE_TS, 1.0, 1.0, L, L, 0.0, 1.0 if convex else 0.0)
+    y = solve(p).y if convex else GridFunction.constant(PROBE_TS, 0.0)
+    sol = Solution(y, 0.0, 0.0, 0.0, Certificate.NONE, 0, True)
+    seen = set()
+    for seed in range(8):
+        for n_trials in (1, 15, 16, 60):
+            expected = _outcome(reference_probe, p, sol, n_trials, delta, seed)
+            got = _outcome(local_min_probe, p, sol, n_trials, delta, seed)
+            assert got == expected, (seed, n_trials)
+            seen.add(expected if isinstance(expected, bool) else expected[0])
+    if not zero_draws:  # every outcome the case is built for shows
+        assert seen == kinds
+
+
+def test_probe_rejects_a_negative_trial_count():
+    p = example_problem(1.0, 1.0)
+    with pytest.raises(DomainError, match="n_trials must be nonnegative, got -3"):
+        local_min_probe(p, solve(p), n_trials=-3)
+
