@@ -17,7 +17,7 @@ from deltanabla import (
     TimeScale,
     d_u_integral,
     directional_el_residual,
-    directional_objective,
+    objective,
     shifted_composition,
     solve_directional,
 )
@@ -63,4 +63,4 @@ p = DirectionalProblem(ts, 1.0, L, 0.0, 1.0)
 sol = solve_directional(p)
 resid = directional_el_residual(p, sol.y)
 print("directional residual grid:", dict(zip(resid.scale.points, resid.values)))
-print("objective at the solution:", directional_objective(p, sol.y))
+print("objective at the solution:", objective(p, sol.y))

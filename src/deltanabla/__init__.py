@@ -70,9 +70,7 @@ from .directional import (
     DirectionalSolution,
     d_u_integral,
     directional_el_residual,
-    directional_objective,
     reduced_lagrangian,
-    reduced_problem,
     shifted_composition,
     solve_directional,
 )
@@ -118,7 +116,6 @@ __all__ = [
     "differentiate",
     "directional_derivative",
     "directional_el_residual",
-    "directional_objective",
     "dubois_reymond_probe",
     "el_residual_1",
     "el_residual_2",
@@ -142,7 +139,6 @@ __all__ = [
     "random_grid_function",
     "random_scale",
     "reduced_lagrangian",
-    "reduced_problem",
     "secant_slopes",
     "shift_rho",
     "shift_sigma",

@@ -21,7 +21,6 @@ import numpy as np
 from .directional import (
     DirectionalSolution,
     directional_el_residual,
-    reduced_problem,
     solve_directional,
 )
 from .errors import DomainError, EvaluationError, ProblemFileError
@@ -53,9 +52,8 @@ def _write_trajectory_csv(path: str, loaded: LoadedProblem, sol: Solution) -> No
     n = len(ts)
     y_delta = delta_derivative(sol.y).values
     y_nabla = nabla_derivative(sol.y).values
-    core = loaded.problem if loaded.kind == "delta-nabla" else reduced_problem(loaded.problem)
     try:
-        r = el_residual_2(core, sol.y).values  # the first form holds the same values
+        r = el_residual_2(loaded.problem, sol.y).values  # the first form holds the same values
     except EvaluationError:  # the trajectory leaves the Lagrangian's domain
         r = np.full(n - 1, np.nan)
     with open(path, "w", newline="") as fh:
@@ -177,18 +175,18 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     loaded = load_problem(args.problem)
     y = _read_trajectory_csv(args.trajectory, loaded)
-    core = loaded.problem if loaded.kind == "delta-nabla" else reduced_problem(loaded.problem)
-    r = float(np.max(np.abs(el_residual_2(core, y).values)))  # equals the first form's
+    p = loaded.problem
+    r = float(np.max(np.abs(el_residual_2(p, y).values)))  # equals the first form's
     worst = r
     print(f"residuals: el1={r:.3e} el2={r:.3e} (tol={loaded.tol:g})")
     if loaded.kind == "directional":
-        rd = float(np.max(np.abs(directional_el_residual(loaded.problem, y).values)))
+        rd = float(np.max(np.abs(directional_el_residual(p, y).values)))
         worst = max(worst, rd)
         print(f"directional residual: {rd:.3e}")
     ok = worst <= loaded.tol
     sol = Solution(
         y=y,
-        objective=objective(core, y),
+        objective=objective(p, y),
         residual_el1=r,
         residual_el2=r,
         certificate=Certificate.NONE,
@@ -197,7 +195,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     if args.probe_trials == 0:
         print("warning: --probe-trials 0 checks nothing; vacuous pass")
-    probe = local_min_probe(core, sol, n_trials=args.probe_trials, seed=args.seed)
+    probe = local_min_probe(p, sol, n_trials=args.probe_trials, seed=args.seed)
     print(f"local-minimum probe ({args.probe_trials} trials): {'pass' if probe else 'FAIL'}")
     print("stationary within tolerance" if ok else "NOT stationary within tolerance")
     return EXIT_OK if ok else EXIT_NUMERICAL

@@ -5,11 +5,12 @@ measure d_u t scales the delta integral for u > 0 and the nabla integral
 for u < 0, the shifted composition u * (y o sigma) or u * (y o rho) feeds
 the state slot, and the derivative slot carries the one-sided directional
 derivative of the trajectory's piecewise-linear extension, which is
-u * y^Delta or u * y^nabla.  Each sign therefore reduces to a plain
-single-term problem, which is how these problems are solved here.  The
-directional Euler-Lagrange residual is computed on its own from the inner
-L, on the same two-point stencil as the variational terms, at
-(t_e, u * y_s, u * slope).
+u * y^Delta or u * y^nabla.  A directional problem therefore is a plain
+one-term problem: the delta term (u > 0) or the nabla term (u < 0) of the
+integrand u * L(t, u*s, u*w), and it is solved as one.  The directional
+Euler-Lagrange residual is computed on its own from the inner L, on the
+same two-point stencil as the variational terms, at (t_e, u * y_s,
+u * slope).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .timescale import (
+    DomainTag,
     GridFunction,
     TimeScale,
     delta_integral,
@@ -34,7 +36,6 @@ from .variational import (
     TermSumProblem,
     _nan_outside_domain,
     _stencil,
-    objective,
     solve,
 )
 
@@ -44,8 +45,6 @@ __all__ = [
     "d_u_integral",
     "shifted_composition",
     "reduced_lagrangian",
-    "reduced_problem",
-    "directional_objective",
     "directional_el_residual",
     "solve_directional",
 ]
@@ -68,24 +67,8 @@ def shifted_composition(y: GridFunction, u: float) -> GridFunction:
     return u * shift_rho(y)
 
 
-class DirectionalProblem:
-    """Extremize the d_u integral of L(t, (y o xi_u)(t), D ybar(t)(u)) with
-    fixed endpoint values."""
-
-    def __init__(self, scale: TimeScale, u: float, L: Lagrangian, alpha: float, beta: float):
-        if u == 0.0:
-            raise DomainError("direction u must be nonzero; for u = 0 there is nothing to extremize")
-        if len(scale) < 3:
-            raise DomainError("the scale needs at least one interior point")
-        self.scale = scale
-        self.u = float(u)
-        self.L = L
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-
-
 def reduced_lagrangian(L: Lagrangian, u: float) -> Lagrangian:
-    """The integrand of the sign-reduced problem: (t, s, w) -> u * L(t, u*s, u*w).
+    """The integrand of a directional problem's one term: (t, s, w) -> u * L(t, u*s, u*w).
 
     Its slot partials are u^2 times those of L at the scaled arguments.
     """
@@ -98,23 +81,19 @@ def reduced_lagrangian(L: Lagrangian, u: float) -> Lagrangian:
     )
 
 
-def _kind(u: float) -> str:
-    """The term kind a nonzero direction reduces to."""
-    return "delta" if u > 0 else "nabla"
+class DirectionalProblem(TermSumProblem):
+    """Extremize the d_u integral of L(t, (y o xi_u)(t), D ybar(t)(u)) with
+    fixed endpoint values: the one-term problem whose term is the delta
+    (u > 0) or nabla (u < 0) integral of ``reduced_lagrangian(L, u)``.
+    ``u`` and the inner ``L`` are kept for the directional residual."""
 
-
-def reduced_problem(p: DirectionalProblem) -> TermSumProblem:
-    """The single-term delta (u > 0) or nabla (u < 0) problem the
-    directional problem reduces to."""
-    return TermSumProblem(
-        p.scale, [Term(1.0, reduced_lagrangian(p.L, p.u), _kind(p.u))], p.alpha, p.beta
-    )
-
-
-def directional_objective(p: DirectionalProblem, y: GridFunction) -> float:
-    """Value of the directional functional at a trajectory; equals the
-    objective of the sign-reduced problem by construction."""
-    return objective(reduced_problem(p), y)
+    def __init__(self, scale: TimeScale, u: float, L: Lagrangian, alpha: float, beta: float):
+        if u == 0.0:
+            raise DomainError("direction u must be nonzero; for u = 0 there is nothing to extremize")
+        self.u = float(u)
+        self.L = L
+        term = Term(1.0, reduced_lagrangian(L, self.u), "delta" if u > 0 else "nabla")
+        super().__init__(scale, [term], alpha, beta)
 
 
 def directional_el_residual(p: DirectionalProblem, y: GridFunction, strict: bool = False) -> GridFunction:
@@ -127,32 +106,28 @@ def directional_el_residual(p: DirectionalProblem, y: GridFunction, strict: bool
     domains (which can be empty on very small scales, raising DomainError).
     """
     ts = p.scale
-    if len(ts) < 3:
-        raise DomainError("the residual needs at least three scale points")
     if y.scale != ts:
         raise DomainError("trajectory scale differs from the problem scale")
     u = p.u
-    e, s, slope = _stencil(_kind(u), ts, y.values)
+    e, s, slope = _stencil(p.terms[0].kind, ts, y.values)
     t_e = ts.points[e]
     d2, d3 = p.L.partials(t_e, u * y.values[s], u * slope)
     # u times the delta (u > 0) or nabla (u < 0) derivative of d3 along the
     # points t_e, minus u * d2; it lives on t_e truncated once more
     resid = u * (np.diff(d3) / np.diff(t_e)) - u * d2[e]
-    wide = GridFunction(TimeScale(t_e[e]), resid)
-
     if not strict:
-        return wide
-    strict_lo, strict_hi = 2, len(ts) - 3  # both twice-truncated domains intersected
-    if strict_hi < strict_lo:
+        tag = DomainTag.KAPPA_SQUARED if u > 0 else DomainTag.KAPPA_SUB_SQUARED
+        return GridFunction(ts.truncated(tag), resid)
+    # both twice-truncated domains intersected: drop two more points on the
+    # side opposite to u
+    if len(ts) < 5:
         raise DomainError("the doubly-truncated intersection is empty on this scale")
-    strict_points = ts.points[strict_lo : strict_hi + 1]
-    strict_vals = [wide.value_at(t) for t in strict_points]
-    return GridFunction(TimeScale(strict_points), strict_vals)
+    return GridFunction(TimeScale(ts.points[2:-2]), resid[2:] if u > 0 else resid[:-2])
 
 
 @dataclass
 class DirectionalSolution(Solution):
-    """Solution of the reduced problem plus the directional residual
+    """Solution of the one-term problem plus the directional residual
     (max-abs over the wide domain, and over the strict intersection when
     that is nonempty)."""
 
@@ -166,12 +141,12 @@ def solve_directional(
     max_iter: int = 200,
     init: GridFunction | None = None,
 ) -> DirectionalSolution:
-    """Solve by reduction to the delta (u > 0) or nabla (u < 0) problem.
+    """Solve the one-term delta (u > 0) or nabla (u < 0) problem.
 
     Like ``solve``, it reports a trajectory outside the Lagrangian's domain
     and does not raise: the directional residuals are then NaN.
     """
-    sol = solve(reduced_problem(p), tol=tol, max_iter=max_iter, init=init)
+    sol = solve(p, tol=tol, max_iter=max_iter, init=init)
 
     def max_abs(strict: bool) -> float:
         return float(np.max(np.abs(directional_el_residual(p, sol.y, strict).values)))

@@ -18,6 +18,7 @@ Validation failures raise ProblemFileError carrying the offending key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -47,10 +48,20 @@ def _require(data: dict, key: str) -> Any:
 
 
 def _number(data: dict, key: str) -> float:
-    value = _require(data, key)
+    return _finite(_require(data, key), key)
+
+
+def _finite(value: Any, key: str) -> float:
+    """value as a float, when it is a finite JSON number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFileError(key, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer too large for a float
+        x = math.inf
+    if not math.isfinite(x):
+        raise ProblemFileError(key, f"expected a finite number, got {value!r}")
+    return x
 
 
 def _build_scale(data: dict) -> tuple[TimeScale, dict]:
@@ -121,17 +132,19 @@ def load_problem_dict(data: dict) -> LoadedProblem:
         alpha = _number(boundary, "alpha")
         beta = _number(boundary, "beta")
     except ProblemFileError as exc:
-        raise ProblemFileError(f"boundary.{exc.key}", "missing or not a number") from None
+        raise ProblemFileError(f"boundary.{exc.key}", "missing or not a finite number") from None
     kind = _require(data, "kind")
     meta: dict = {"timescale": ts_meta}
 
     solver = data.get("solver", {})
     if not isinstance(solver, dict):
         raise ProblemFileError("solver", "expected an object")
-    tol = float(solver.get("tol", DEFAULT_TOL))
-    max_iter = int(solver.get("max_iter", DEFAULT_MAX_ITER))
+    tol = _finite(solver.get("tol", DEFAULT_TOL), "solver.tol")
     if tol <= 0:
         raise ProblemFileError("solver.tol", "must be positive")
+    max_iter = solver.get("max_iter", DEFAULT_MAX_ITER)
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int):
+        raise ProblemFileError("solver.max_iter", f"expected an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ProblemFileError("solver.max_iter", "must be at least 1")
 

@@ -21,7 +21,8 @@ equals the second at t: both forms hold the same values on shifted
 domains, and ``residual_el1 == residual_el2``.
 
 The machinery is written for an arbitrary finite list of weighted terms;
-the two-term delta-nabla problem is the m = 2 case.
+the two-term delta-nabla problem is the m = 2 case, and a directional
+problem (``directional.DirectionalProblem``) the m = 1 case.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class Lagrangian:
         source: str | None = None,
         _trees: dict[str, expressions.Expr] | None = None,
         text: str | None = None,
-        allow_fd: bool = True,
         _arrays: dict[str, Callable] | None = None,
     ):
         if not callable(fn):
@@ -93,8 +93,6 @@ class Lagrangian:
         self._trees = _trees
         self._arrays = _arrays
         self.text = text
-        if d2 is None and not allow_fd:
-            raise ConfigurationError("partial derivatives unavailable and finite differences disabled")
         self._d2 = d2
         self._d3 = d3
         self.source = source or ("analytic" if d2 is not None else "numeric")
@@ -263,12 +261,6 @@ class DeltaNablaProblem(TermSumProblem):
         alpha: float,
         beta: float,
     ):
-        if gamma1 == 0.0 and gamma2 == 0.0:
-            raise DomainError("gamma1 and gamma2 cannot vanish simultaneously")
-        self.gamma1 = float(gamma1)
-        self.gamma2 = float(gamma2)
-        self.L_delta = L_delta
-        self.L_nabla = L_nabla
         super().__init__(
             scale,
             [Term(gamma1, L_delta, "delta"), Term(gamma2, L_nabla, "nabla")],
@@ -547,30 +539,27 @@ def solve(
 
 
 CERTIFY_BLOCK = 4096  # samples per block; bounds the arrays of certify and local_min_probe
+CERTIFY_INFLATE = 0.5  # the sample box spans the trajectory's range inflated by 50%
+CERTIFY_GRID = 21  # samples per axis of the (y, v) box
+CERTIFY_EIG_TOL = 1e-9  # eigenvalues within this of 0 count as semidefinite
 
 
-def _sample_box(values: np.ndarray, inflate: float) -> tuple[float, float]:
+def _sample_box(values: np.ndarray) -> tuple[float, float]:
     lo, hi = float(np.min(values)), float(np.max(values))
     mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * (1.0 + inflate)
+    half = 0.5 * (hi - lo) * (1.0 + CERTIFY_INFLATE)
     if half == 0.0:
         half = 1.0
     return mid - half, mid + half
 
 
-def certify(
-    p: TermSumProblem,
-    sol: Solution,
-    inflate: float = 0.5,
-    grid_points: int = 21,
-    eig_tol: float = 1e-9,
-) -> Certificate:
+def certify(p: TermSumProblem, sol: Solution) -> Certificate:
     """Sample-based joint-convexity certificate for a stationary solution.
 
     Samples the (y, v) Hessian of every active integrand over a box around
-    the trajectory (range inflated by ``inflate``) at every scale point,
-    ``Lagrangian.hessian`` taking one block of scale points with their
-    ``grid_points`` x ``grid_points`` samples at a time.
+    the trajectory (range inflated by ``CERTIFY_INFLATE``) at every scale
+    point, ``Lagrangian.hessian`` taking one block of scale points with
+    their ``CERTIFY_GRID`` x ``CERTIFY_GRID`` samples at a time.
     All Hessians positive semidefinite with nonnegative weights certifies a
     global minimizer; the negative-semidefinite analogue a global
     maximizer; anything else, or any negative weight, gives local-only, as
@@ -587,13 +576,13 @@ def certify(
     v_vals = np.concatenate(
         [delta_derivative(sol.y).values, nabla_derivative(sol.y).values]
     )
-    y_lo, y_hi = _sample_box(y_vals, inflate)
-    v_lo, v_hi = _sample_box(v_vals, inflate)
-    ys = np.linspace(y_lo, y_hi, grid_points)[:, None]
-    vs = np.linspace(v_lo, v_hi, grid_points)[None, :]
+    y_lo, y_hi = _sample_box(y_vals)
+    v_lo, v_hi = _sample_box(v_vals)
+    ys = np.linspace(y_lo, y_hi, CERTIFY_GRID)[:, None]
+    vs = np.linspace(v_lo, v_hi, CERTIFY_GRID)[None, :]
 
     points = p.scale.points
-    block = max(1, CERTIFY_BLOCK // grid_points**2)
+    block = max(1, CERTIFY_BLOCK // CERTIFY_GRID**2)
     min_eig = math.inf
     max_eig = -math.inf
     for term, start in itertools.product(actives, range(0, len(points), block)):
@@ -606,9 +595,9 @@ def certify(
         rad = np.hypot(0.5 * (a - c), b)
         min_eig = min(min_eig, float(np.min(mid - rad)))
         max_eig = max(max_eig, float(np.max(mid + rad)))
-    if min_eig >= -eig_tol:
+    if min_eig >= -CERTIFY_EIG_TOL:
         return Certificate.GLOBAL_MIN
-    if max_eig <= eig_tol:
+    if max_eig <= CERTIFY_EIG_TOL:
         return Certificate.GLOBAL_MAX
     return Certificate.LOCAL_ONLY
 

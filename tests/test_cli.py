@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -71,6 +72,17 @@ def test_load_interval_sampling_recorded():
         (lambda d: d.update(lagrangian_delta="t*(")  , "lagrangian_delta"),
         (lambda d: d.update(lagrangian_nabla="1e999*v"), "lagrangian_nabla"),
         (lambda d: d.update(kind="mystery"), "kind"),
+        pytest.param(lambda d: d.update(solver={"tol": "abc"}), "solver.tol", id="tol-string"),
+        pytest.param(lambda d: d.update(solver={"tol": None}), "solver.tol", id="tol-null"),
+        pytest.param(lambda d: d.update(solver={"tol": True}), "solver.tol", id="tol-bool"),
+        pytest.param(lambda d: d.update(solver={"tol": math.nan}), "solver.tol", id="tol-nan"),
+        pytest.param(lambda d: d.update(solver={"max_iter": "x"}), "solver.max_iter", id="max_iter-string"),
+        pytest.param(lambda d: d.update(solver={"max_iter": 2.7}), "solver.max_iter", id="max_iter-float"),
+        pytest.param(lambda d: d.update(solver={"max_iter": True}), "solver.max_iter", id="max_iter-bool"),
+        pytest.param(lambda d: d.update(kind="directional", u=math.nan, lagrangian="t*v^2"), "u", id="u-nan"),
+        pytest.param(lambda d: d.update(gamma1=math.nan), "gamma1", id="gamma1-nan"),
+        pytest.param(lambda d: d["boundary"].update(beta=math.inf), "boundary.beta", id="beta-inf"),
+        pytest.param(lambda d: d.update(gamma2=10**400), "gamma2", id="gamma2-huge-int"),
     ],
 )
 def test_validation_names_offending_key(mutate, key):
@@ -144,6 +156,14 @@ def test_cmd_solve_missing_beta_exit_1(tmp_path, capsys):
     code = main(["solve", write_problem(tmp_path, data)])
     assert code == 1
     assert "boundary.beta" in capsys.readouterr().err
+
+
+def test_cmd_solve_invalid_solver_tol_exit_1(tmp_path, capsys):
+    problem = write_problem(tmp_path, dict(EXAMPLE, solver={"tol": "abc"}))
+    assert main(["solve", problem]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver.tol: ")
+    assert "Traceback" not in err
 
 
 def test_cmd_solve_missing_file_exit_1(tmp_path):

@@ -1,5 +1,8 @@
 """Direction-driven problems: the unified integral, shifted composition,
-directional Euler-Lagrange residual, and solution by sign reduction."""
+directional Euler-Lagrange residual, and solution as the one-term delta or
+nabla problem."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,17 +13,19 @@ from deltanabla import (
     DomainError,
     GridFunction,
     Lagrangian,
+    Term,
+    TermSumProblem,
     TimeScale,
     d_u_integral,
     delta_integral,
     directional_el_residual,
-    directional_objective,
     nabla_integral,
     objective,
-    reduced_problem,
+    reduced_lagrangian,
     shift_rho,
     shift_sigma,
     shifted_composition,
+    solve,
     solve_directional,
 )
 
@@ -87,8 +92,8 @@ def test_directional_objective_unit_directions_hand_values():
         nabla_term = 2 * 3 * (y1 / 2) ** 2 + 1 * 4 * (1 - y1) ** 2
         p_plus = DirectionalProblem(T134, 1.0, L_TV2, 0.0, 1.0)
         p_minus = DirectionalProblem(T134, -1.0, L_TV2, 0.0, 1.0)
-        assert directional_objective(p_plus, y) == pytest.approx(delta_term, abs=1e-13)
-        assert directional_objective(p_minus, y) == pytest.approx(-nabla_term, abs=1e-13)
+        assert objective(p_plus, y) == pytest.approx(delta_term, abs=1e-13)
+        assert objective(p_minus, y) == pytest.approx(-nabla_term, abs=1e-13)
 
 
 def test_directional_objective_general_direction_hand_sum():
@@ -100,24 +105,25 @@ def test_directional_objective_general_direction_hand_sum():
     hand = u * (
         2.0 * (1.0 * (u * d[0]) ** 2) + 1.0 * (3.0 * (u * d[1]) ** 2)
     )
-    assert directional_objective(p, y) == pytest.approx(hand, abs=1e-12)
+    assert objective(p, y) == pytest.approx(hand, abs=1e-12)
 
 
 def test_directional_objective_constant_trajectory_vanishes():
     L = Lagrangian.from_expression("v^2")
     for u in (0.5, 1.0, -1.0, -3.2):
         p = DirectionalProblem(T134, u, L, 1.0, 1.0)
-        assert directional_objective(p, GridFunction.constant(T134, 1.0)) == 0.0
+        assert objective(p, GridFunction.constant(T134, 1.0)) == 0.0
 
 
 def test_directional_objective_equals_reduced_objective():
     rng = np.random.default_rng(1)
     for u in (0.7, 2.0, -0.7, -2.0):
         p = DirectionalProblem(T134, u, L_TV2, 0.0, 1.0)
-        red = reduced_problem(p)
+        kind = "delta" if u > 0 else "nabla"
+        red = TermSumProblem(T134, [Term(1.0, reduced_lagrangian(L_TV2, u), kind)], 0.0, 1.0)
         for _ in range(25):
             y = GridFunction(T134, rng.uniform(-1, 1, 3))
-            assert directional_objective(p, y) == objective(red, y)
+            assert objective(p, y) == objective(red, y)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +178,32 @@ def test_strict_domain_empty_on_three_points():
 
 
 def test_strict_domain_on_larger_scale():
-    ts = TimeScale([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    y = GridFunction(ts, np.linspace(0, 1, 6) ** 2)
-    p = DirectionalProblem(ts, 1.0, L_TV2, 0.0, 1.0)
-    wide = directional_el_residual(p, y)
-    strict = directional_el_residual(p, y, strict=True)
-    assert list(strict.scale.points) == [2.0, 3.0]
-    for t in strict.scale.points:
-        assert strict.value_at(t) == wide.value_at(t)
+    # the strict residual is the wide one on the points 2 .. n-3, whichever
+    # side of the scale the sign of u truncates
+    for n, u in itertools.product((5, 6), (1.0, 2.5, -1.0, -0.6)):
+        ts = TimeScale(np.arange(float(n)))
+        y = GridFunction(ts, np.linspace(0, 1, n) ** 2)
+        p = DirectionalProblem(ts, u, L_TV2, 0.0, 1.0)
+        wide = directional_el_residual(p, y)
+        strict = directional_el_residual(p, y, strict=True)
+        assert list(strict.scale.points) == list(ts.points[2:-2])
+        for t in strict.scale.points:
+            assert strict.value_at(t) == wide.value_at(t)
 
 
 # ---------------------------------------------------------------------------
-# solve by reduction
+# solve as the one-term problem
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("u", [0.5, 2.0, -0.5, -2.0])
+def test_directional_problem_is_its_one_term_problem(u):
+    ts = TimeScale([0.0, 0.7, 1.5, 2.2, 3.0])
+    p = DirectionalProblem(ts, u, Lagrangian.from_expression("v^2 + y^2 + 0.5*y*v"), 0.0, 1.0)
+    assert isinstance(p, TermSumProblem)
+    (term,) = p.terms
+    assert (term.weight, term.kind) == (1.0, "delta" if u > 0 else "nabla")
+    assert np.array_equal(solve_directional(p).y.values, solve(p).y.values)
 
 
 @pytest.mark.parametrize("u,expected", [(1.0, 6 / 7), (-1.0, 8 / 11)])

@@ -89,11 +89,9 @@ def test_lagrangian_analytic_partials_match_fd():
         assert L.d3(t, y, v) == pytest.approx(fd3, rel=1e-6, abs=1e-6)
 
 
-def test_lagrangian_requires_callable_and_fd_opt_out():
+def test_lagrangian_requires_callable():
     with pytest.raises(ConfigurationError):
         Lagrangian("not callable")  # type: ignore[arg-type]
-    with pytest.raises(ConfigurationError):
-        Lagrangian(lambda t, y, v: 0.0, allow_fd=False)
 
 
 def test_lagrangian_nan_raises_evaluation_error():
