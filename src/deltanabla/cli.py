@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -30,6 +31,7 @@ from .timescale import GridFunction, delta_derivative, nabla_derivative
 from .variational import (
     Certificate,
     Solution,
+    TermSumProblem,
     el_residual_2,
     local_min_probe,
     objective,
@@ -124,6 +126,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return EXIT_INPUT
     if args.trials == 0:
         print("warning: --trials 0 checks nothing; vacuous pass")
         return EXIT_OK
@@ -169,9 +174,19 @@ def _read_trajectory_csv(path: str, loaded: LoadedProblem) -> GridFunction:
     return y
 
 
+def _negated(p: TermSumProblem) -> TermSumProblem:
+    """The problem with every term weight negated: its local minimizers are
+    the original problem's local maximizers."""
+    terms = [dataclasses.replace(term, weight=-term.weight) for term in p.terms]
+    return TermSumProblem(p.scale, terms, p.alpha, p.beta)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     if args.probe_trials < 0:
         print("error: --probe-trials must be nonnegative", file=sys.stderr)
+        return EXIT_INPUT
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
     loaded = load_problem(args.problem)
     y = _read_trajectory_csv(args.trajectory, loaded)
@@ -195,8 +210,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     if args.probe_trials == 0:
         print("warning: --probe-trials 0 checks nothing; vacuous pass")
-    probe = local_min_probe(p, sol, n_trials=args.probe_trials, seed=args.seed)
-    print(f"local-minimum probe ({args.probe_trials} trials): {'pass' if probe else 'FAIL'}")
+    if local_min_probe(p, sol, n_trials=args.probe_trials, seed=args.seed):
+        probe = "local-minimum probe ({} trials): pass"
+    elif local_min_probe(_negated(p), sol, n_trials=args.probe_trials, seed=args.seed):
+        probe = "local-maximum probe ({} trials): pass"
+    else:
+        probe = "local-minimum probe ({} trials): FAIL"
+    print(probe.format(args.probe_trials))
     print("stationary within tolerance" if ok else "NOT stationary within tolerance")
     return EXIT_OK if ok else EXIT_NUMERICAL
 

@@ -11,9 +11,11 @@ the acceptance tests.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
+from .errors import DomainError
 from .timescale import (
     GridFunction,
     TimeScale,
@@ -69,104 +71,82 @@ def random_grid_function(
     return GridFunction(ts, rng.uniform(lo, hi, len(ts)))
 
 
-def _rel(lhs, rhs) -> float:
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+def _rel_errors(sides: Iterable[tuple]) -> np.ndarray:
+    """The worst relative error |lhs - rhs| / max(1, |lhs|, |rhs|) of each
+    pair of equal-length sequences, all in one numpy pass; NaN must not
+    pass, so it counts as inf."""
+    lhs, rhs = zip(*sides)
+    starts = np.cumsum([0] + [len(side) for side in lhs[:-1]])
+    lhs, rhs = np.concatenate(lhs), np.concatenate(rhs)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    err = float(np.max(np.abs(lhs - rhs) / scale))
-    return err if math.isfinite(err) else math.inf  # NaN must not pass
+    err = np.maximum.reduceat(np.abs(lhs - rhs) / scale, starts)
+    return np.where(np.isnan(err), math.inf, err)
 
 
 def _at_jump(ts: TimeScale, f: GridFunction, t: np.ndarray, step: int) -> np.ndarray:
     """f at sigma(t) (step 1) or rho(t) (step -1) for points t of ts, looked
-    up in one pass; NaN where the jumped point is off f's domain."""
-    jumped = ts.points[np.clip(np.searchsorted(ts.points, t) + step, 0, len(ts) - 1)]
+    up in one pass along the last axis; NaN where the jumped point is off
+    f's domain."""
+    i = ts.points.searchsorted(t) + step
+    jumped = ts.points[np.minimum(np.maximum(i, 0), len(ts) - 1)]
     pts = f.scale.points
-    i = np.minimum(np.searchsorted(pts, jumped), len(pts) - 1)
-    return np.where(pts[i] == jumped, f.values[i], np.nan)
-
-
-def _pad_kappa(ts: TimeScale, vals: np.ndarray) -> GridFunction:
-    """Lift values on the delta-derivative domain back to the full scale
-    (the padding value at b is never touched by a delta integral)."""
-    return GridFunction(ts, np.append(vals, 0.0))
-
-
-def _pad_kappa_sub(ts: TimeScale, vals: np.ndarray) -> GridFunction:
-    return GridFunction(ts, np.concatenate([[0.0], vals]))
-
-
-def _boundary_term(f: GridFunction, g: GridFunction) -> float:
-    return f.values[-1] * g.values[-1] - f.values[0] * g.values[0]
+    i = np.minimum(pts.searchsorted(jumped), len(pts) - 1)
+    return np.where(pts[i] == jumped, f.values[..., i], np.nan)
 
 
 def check_trial(ts: TimeScale, f: GridFunction, g: GridFunction) -> dict[str, float]:
-    """Relative error of every identity for one scale and one pair f, g."""
-    fd = delta_derivative(f)
-    gd = delta_derivative(g)
-    fn = nabla_derivative(f)
-    gn = nabla_derivative(g)
-    fs = shift_sigma(f)
-    fr = shift_rho(f)
-    gs = shift_sigma(g)
-    gr = shift_rho(g)
+    """Relative error of every identity for one scale and one pair f, g.
+
+    The pair is differentiated and shifted as one stack.  The full-range
+    delta integrands are integrated as one stack, zero at b where a delta
+    integral does not read them, and the nabla integrands likewise, zero
+    at a.
+    """
+    fg = GridFunction(ts, (f.values, g.values))
+    d = delta_derivative(fg)
+    n = nabla_derivative(fg)
+    (fs, gs), (fr, gr) = shift_sigma(fg).values, shift_rho(fg).values
+    (fv, gv), (fd, gd), (fn, gn) = fg.values, d.values, n.values
     gaps = ts.gaps()
     a, b = ts.a, ts.b
-    boundary = _boundary_term(f, g)
-    errs: dict[str, float] = {}
+    sa, rb = ts.sigma(a), ts.rho(b)
+    boundary = fv[-1] * gv[-1] - fv[0] * gv[0]
 
-    errs["ibp_sigma_delta"] = _rel(
-        delta_integral(_pad_kappa(ts, fs.values[:-1] * gd.values)),
-        boundary - delta_integral(_pad_kappa(ts, fd.values * g.values[:-1])),
+    # both sides of the two integrations by parts, then f, its shift and
+    # its derivative
+    delta_rows = np.zeros((7, len(ts)))
+    delta_rows[:, :-1] = (
+        fs[:-1] * gd, fd * gv[:-1], fv[:-1] * gd, fd * gs[:-1], fv[:-1], fs[:-1], fd
     )
-    errs["ibp_plain_delta"] = _rel(
-        delta_integral(_pad_kappa(ts, f.values[:-1] * gd.values)),
-        boundary - delta_integral(_pad_kappa(ts, fd.values * gs.values[:-1])),
+    nabla_rows = np.zeros((7, len(ts)))
+    nabla_rows[:, 1:] = (
+        fr[1:] * gn, fn * gv[1:], fv[1:] * gn, fn * gr[1:], fv[1:], fr[1:], fn
     )
-    errs["ibp_rho_nabla"] = _rel(
-        nabla_integral(_pad_kappa_sub(ts, fr.values[1:] * gn.values)),
-        boundary - nabla_integral(_pad_kappa_sub(ts, fn.values * g.values[1:])),
-    )
-    errs["ibp_plain_nabla"] = _rel(
-        nabla_integral(_pad_kappa_sub(ts, f.values[1:] * gn.values)),
-        boundary - nabla_integral(_pad_kappa_sub(ts, fn.values * gr.values[1:])),
-    )
+    di = delta_integral(GridFunction(ts, delta_rows))
+    ni = nabla_integral(GridFunction(ts, nabla_rows))
 
-    # f^nabla(t) = f^Delta(rho(t)) and f^Delta(t) = f^nabla(sigma(t)), each
-    # over the points of the left-hand derivative's own domain
-    errs["nabla_from_delta"] = _rel(fn.values, _at_jump(ts, fd, fn.scale.points, -1))
-    errs["delta_from_nabla"] = _rel(fd.values, _at_jump(ts, fn, fd.scale.points, 1))
-
-    errs["delta_to_nabla"] = _rel(delta_integral(f), nabla_integral(fr))
-    errs["nabla_to_delta"] = _rel(nabla_integral(f), delta_integral(fs))
-
-    errs["split_delta_at_b"] = _rel(
-        delta_integral(f),
-        delta_integral(f, a, ts.rho(b)) + (b - ts.rho(b)) * f.value_at(ts.rho(b)),
-    )
-    errs["split_delta_at_a"] = _rel(
-        delta_integral(f),
-        (ts.sigma(a) - a) * f.value_at(a) + delta_integral(f, ts.sigma(a), b),
-    )
-    errs["split_nabla_at_b"] = _rel(
-        nabla_integral(f),
-        nabla_integral(f, a, ts.rho(b)) + (b - ts.rho(b)) * f.value_at(b),
-    )
-    errs["split_nabla_at_a"] = _rel(
-        nabla_integral(f),
-        (ts.sigma(a) - a) * f.value_at(ts.sigma(a)) + nabla_integral(f, ts.sigma(a), b),
-    )
-
-    errs["sigma_from_delta"] = _rel(fs.values[:-1], f.values[:-1] + gaps * fd.values)
-    errs["rho_from_nabla"] = _rel(fr.values[1:], f.values[1:] - gaps * fn.values)
-
-    errs["ftc_delta"] = _rel(
-        delta_integral(_pad_kappa(ts, fd.values)), f.values[-1] - f.values[0]
-    )
-    errs["ftc_nabla"] = _rel(
-        nabla_integral(_pad_kappa_sub(ts, fn.values)), f.values[-1] - f.values[0]
-    )
-    return errs
+    # the two sides of each identity: one-value lists, or one value per point
+    sides = {
+        "ibp_sigma_delta": ([di[0]], [boundary - di[1]]),
+        "ibp_plain_delta": ([di[2]], [boundary - di[3]]),
+        "ibp_rho_nabla": ([ni[0]], [boundary - ni[1]]),
+        "ibp_plain_nabla": ([ni[2]], [boundary - ni[3]]),
+        # f^nabla(t) = f^Delta(rho(t)) and f^Delta(t) = f^nabla(sigma(t)),
+        # each over the points of the left-hand derivative's own domain
+        "nabla_from_delta": (fn, _at_jump(ts, d, n.scale.points, -1)[0]),
+        "delta_from_nabla": (fd, _at_jump(ts, n, d.scale.points, 1)[0]),
+        "delta_to_nabla": ([di[4]], [ni[5]]),
+        "nabla_to_delta": ([ni[4]], [di[5]]),
+        "split_delta_at_b": ([di[4]], [delta_integral(f, a, rb) + (b - rb) * f.value_at(rb)]),
+        "split_delta_at_a": ([di[4]], [(sa - a) * f.value_at(a) + delta_integral(f, sa, b)]),
+        "split_nabla_at_b": ([ni[4]], [nabla_integral(f, a, rb) + (b - rb) * f.value_at(b)]),
+        "split_nabla_at_a": ([ni[4]], [(sa - a) * f.value_at(sa) + nabla_integral(f, sa, b)]),
+        "sigma_from_delta": (fs[:-1], fv[:-1] + gaps * fd),
+        "rho_from_nabla": (fr[1:], fv[1:] - gaps * fn),
+        "ftc_delta": ([di[6]], [fv[-1] - fv[0]]),
+        "ftc_nabla": ([ni[6]], [fv[-1] - fv[0]]),
+    }
+    return dict(zip(sides, _rel_errors(sides.values()).tolist()))
 
 
 def identity_suite(
@@ -178,6 +158,20 @@ def identity_suite(
     max_gap: float = 10.0,
 ) -> dict[str, float]:
     """Worst relative error per identity over random scales and functions."""
+    if trials < 0:
+        raise DomainError(f"trials must be nonnegative, got {trials}")
+    if min_points < 2:
+        raise DomainError(f"min_points must be at least 2, got {min_points}")
+    if max_points < min_points:
+        raise DomainError(
+            f"max_points must be at least min_points={min_points}, got {max_points}"
+        )
+    if not (math.isfinite(min_gap) and min_gap > 0.0):
+        raise DomainError(f"min_gap must be positive and finite, got {min_gap}")
+    if not (math.isfinite(max_gap) and max_gap >= min_gap):
+        raise DomainError(
+            f"max_gap must be finite and at least min_gap={min_gap}, got {max_gap}"
+        )
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in IDENTITY_NAMES}
     for _ in range(trials):

@@ -12,6 +12,11 @@ and nu(a) = 0.  Truncated domains are ordinary time scales again: the delta
 derivative of f lives on the scale with the last point removed, the nabla
 derivative on the scale with the first point removed.
 
+A grid function may hold a stack of functions on one scale, one per row of
+a (k, len(scale)) array.  Derivatives and shifts act along the last axis,
+integrals reduce along it, and each row of a stacked result equals, bit
+for bit, the result for that row on its own.
+
 The Dubois-Reymond constraint matrix has one row per hat variation: the
 gaps times the hat's delta or nabla derivative, which is +1 and -1 (up to
 rounding) next to the hat's point and 0 elsewhere.
@@ -126,13 +131,13 @@ class TimeScale:
 
     def index(self, t: float) -> int:
         """Index of t in the point set; exact comparison, no tolerance."""
-        i = int(np.searchsorted(self.points, t))
+        i = int(self.points.searchsorted(t))
         if i < len(self) and self.points[i] == t:
             return i
         raise DomainError(f"t={t!r} is not a point of {self!r}")
 
     def __contains__(self, t: float) -> bool:
-        i = int(np.searchsorted(self.points, t))
+        i = int(self.points.searchsorted(t))
         return i < len(self) and self.points[i] == t
 
     # -- jump operators and graininess ------------------------------------
@@ -194,17 +199,19 @@ class TimeScale:
 
 
 class GridFunction:
-    """Real values attached to the points of a time scale."""
+    """Real values attached to the points of a time scale: one function, of
+    shape (len(scale),), or a stack of k functions, of shape
+    (k, len(scale))."""
 
     __slots__ = ("scale", "values")
 
     def __init__(self, scale: TimeScale, values: Iterable[float]):
         vals = np.array(values, dtype=float)
-        if vals.shape != scale.points.shape:
+        if vals.ndim > 2 or vals.shape[-1:] != scale.points.shape:
             raise DomainError(
                 f"expected {len(scale)} values for {scale!r}, got {vals.size}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DomainError("grid function values must be finite")
         vals.setflags(write=False)
         self.scale = scale
@@ -218,8 +225,9 @@ class GridFunction:
     def constant(cls, scale: TimeScale, c: float) -> "GridFunction":
         return cls(scale, np.full(len(scale), float(c)))
 
-    def value_at(self, t: float) -> float:
-        return float(self.values[self.scale.index(t)])
+    def value_at(self, t: float) -> float | np.ndarray:
+        """The value at t: a float, or one value per row of a stack."""
+        return _per_row(self.values[..., self.scale.index(t)])
 
     def __repr__(self) -> str:
         return f"GridFunction({self.scale!r}, {np.array2string(self.values, precision=6)})"
@@ -252,6 +260,11 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 
+def _per_row(x: np.ndarray) -> float | np.ndarray:
+    """A float for one function's 0-d result, the array for a stack's."""
+    return float(x) if x.ndim == 0 else x
+
+
 def _require_two_points(ts: TimeScale, what: str) -> None:
     if len(ts) < 2:
         raise DomainError(f"{what} needs a scale with at least two points")
@@ -279,38 +292,45 @@ def nabla_derivative(f: GridFunction) -> GridFunction:
 def shift_sigma(f: GridFunction) -> GridFunction:
     """The composite f(sigma(t)); total, since sigma(b) = b."""
     v = f.values
-    return GridFunction(f.scale, np.concatenate([v[1:], v[-1:]]))
+    return GridFunction(f.scale, np.concatenate([v[..., 1:], v[..., -1:]], axis=-1))
 
 
 def shift_rho(f: GridFunction) -> GridFunction:
     """The composite f(rho(t)); total, since rho(a) = a."""
     v = f.values
-    return GridFunction(f.scale, np.concatenate([v[:1], v[:-1]]))
+    return GridFunction(f.scale, np.concatenate([v[..., :1], v[..., :-1]], axis=-1))
 
 
-def delta_integral(f: GridFunction, lo: float | None = None, hi: float | None = None) -> float:
+def _integral(f: GridFunction, lo: float | None, hi: float | None, offset: int, what: str):
+    """Sum of gap_i * f(t_{i + offset}) over the gaps i between lo and hi,
+    along the last axis."""
+    _require_two_points(f.scale, what)
+    ts = f.scale
+    i_lo = 0 if lo is None else ts.index(lo)
+    i_hi = len(ts) - 1 if hi is None else ts.index(hi)
+    if i_lo > i_hi:
+        raise DomainError("integration range has lo > hi")
+    weighted = ts._gaps[i_lo:i_hi] * f.values[..., i_lo + offset : i_hi + offset]
+    return _per_row(np.add.reduce(weighted, axis=-1))
+
+
+def delta_integral(
+    f: GridFunction, lo: float | None = None, hi: float | None = None
+) -> float | np.ndarray:
     """Sum of mu(t) * f(t) over [lo, hi) intersected with the scale.
 
-    Exact on finite scales; defaults to the full range [a, b].
+    Exact on finite scales; defaults to the full range [a, b].  A float
+    for one function, one value per row for a stack.
     """
-    _require_two_points(f.scale, "delta_integral")
-    ts = f.scale
-    i_lo = 0 if lo is None else ts.index(lo)
-    i_hi = len(ts) - 1 if hi is None else ts.index(hi)
-    if i_lo > i_hi:
-        raise DomainError("integration range has lo > hi")
-    return float(np.sum(ts.gaps()[i_lo:i_hi] * f.values[i_lo:i_hi]))
+    return _integral(f, lo, hi, 0, "delta_integral")
 
 
-def nabla_integral(f: GridFunction, lo: float | None = None, hi: float | None = None) -> float:
-    """Sum of nu(t) * f(t) over (lo, hi] intersected with the scale."""
-    _require_two_points(f.scale, "nabla_integral")
-    ts = f.scale
-    i_lo = 0 if lo is None else ts.index(lo)
-    i_hi = len(ts) - 1 if hi is None else ts.index(hi)
-    if i_lo > i_hi:
-        raise DomainError("integration range has lo > hi")
-    return float(np.sum(ts.gaps()[i_lo:i_hi] * f.values[i_lo + 1 : i_hi + 1]))
+def nabla_integral(
+    f: GridFunction, lo: float | None = None, hi: float | None = None
+) -> float | np.ndarray:
+    """Sum of nu(t) * f(t) over (lo, hi] intersected with the scale; a
+    float for one function, one value per row for a stack."""
+    return _integral(f, lo, hi, 1, "nabla_integral")
 
 
 # ---------------------------------------------------------------------------

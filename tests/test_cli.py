@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ EXAMPLE = {
     "lagrangian_nabla": "t*v^2",
     "boundary": {"alpha": 0.0, "beta": 1.0},
 }
+
+
+DEMO_PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
 
 def write_problem(tmp_path, data, name="problem.json"):
@@ -254,6 +258,13 @@ def test_cmd_identities_seed_reproducible(capsys):
     assert first == second
 
 
+def test_cmd_identities_negative_seed_is_an_input_error(capsys):
+    assert main(["identities", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be nonnegative\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # check command
 # ---------------------------------------------------------------------------
@@ -326,3 +337,25 @@ def test_cmd_check_zero_probe_trials_warns(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "warning: --probe-trials 0 checks nothing; vacuous pass" in out
     assert "stationary within tolerance" in out
+
+
+def test_cmd_check_negative_seed_is_an_input_error(tmp_path, capsys):
+    problem = write_problem(tmp_path, EXAMPLE)
+    traj = write_trajectory(tmp_path, [1, 3, 4], [0.0, 7 / 9, 1.0])
+    assert main(["check", problem, traj, "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be nonnegative\n"
+    assert captured.out == ""
+
+
+def test_cmd_check_maximizer_passes_the_local_maximum_probe(tmp_path, capsys):
+    # u < 0 with a convex L: the one-term integrand is concave and solve
+    # certifies a global maximizer
+    problem = str(DEMO_PROBLEMS / "directional_backward.json")
+    traj = str(tmp_path / "traj.csv")
+    assert main(["solve", problem, "--out", traj]) == 0
+    assert "certificate=global-max" in capsys.readouterr().out
+    assert main(["check", problem, traj]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "local-maximum probe (200 trials): pass" in out
+    assert not any("local-minimum" in line for line in out)

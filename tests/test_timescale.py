@@ -320,6 +320,48 @@ def test_fundamental_theorem():
         assert total == pytest.approx(f.values[-1] - f.values[0], abs=1e-13)
 
 
+# ---------------------------------------------------------------------------
+# stacks of grid functions
+# ---------------------------------------------------------------------------
+
+
+def test_stack_validation():
+    stack = GridFunction(T134, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert stack.values.shape == (2, 3)
+    assert list(stack.value_at(3.0)) == [2.0, 5.0]
+    assert GridFunction(T134, np.zeros((0, 3))).values.shape == (0, 3)
+    for bad in ([[1.0, 2.0], [3.0, 4.0]], np.zeros((1, 2, 3)), 1.0):
+        with pytest.raises(DomainError):
+            GridFunction(T134, bad)
+    with pytest.raises(DomainError):
+        GridFunction(T134, [[1.0, 2.0, 3.0], [4.0, np.inf, 6.0]])
+
+
+def test_stacked_operations_equal_row_by_row_exactly():
+    # up to 300 points, so the sums cross numpy's pairwise-summation blocks
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 8, 9, 127, 128, 129, 255, 256, 300, *rng.integers(2, 301, 12)):
+        ts = random_scale(rng, min_points=n, max_points=n)
+        rows = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 40)), n))
+        stack = GridFunction(ts, rows)
+        ones = [GridFunction(ts, row) for row in rows]
+        for op in (delta_derivative, nabla_derivative, shift_sigma, shift_rho):
+            stacked = op(stack)
+            assert stacked.values.shape == rows.shape[:1] + stacked.scale.points.shape
+            for row, one in zip(stacked.values, ones):
+                result = op(one)
+                assert result.scale == stacked.scale
+                assert np.array_equal(row, result.values)
+        i, j = sorted(rng.integers(0, n, 2))
+        ranges = ((None, None), (ts.points[i], ts.points[j]), (ts.points[i], None))
+        for integral in (delta_integral, nabla_integral):
+            for lo, hi in ranges:
+                stacked = integral(stack, lo, hi)
+                assert stacked.shape == rows.shape[:1]
+                assert list(stacked) == [integral(one, lo, hi) for one in ones]
+                assert all(type(integral(one, lo, hi)) is float for one in ones)
+
+
 def test_identity_suite_gate():
     # the acceptance suite runs 200 trials; keep a fast sentinel here
     worst = identity_suite(trials=25, seed=42)
