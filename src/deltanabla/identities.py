@@ -50,6 +50,9 @@ IDENTITY_NAMES: tuple[str, ...] = tuple(
     name for names in FAMILIES.values() for name in names
 )
 
+# random scales start in [-_START_SPREAD, _START_SPREAD)
+_START_SPREAD = 5.0
+
 
 def random_scale(
     rng: np.random.Generator,
@@ -61,7 +64,7 @@ def random_scale(
     """A random finite scale with log-uniform gaps."""
     n = int(rng.integers(min_points, max_points + 1))
     gaps = np.exp(rng.uniform(np.log(min_gap), np.log(max_gap), n - 1))
-    start = rng.uniform(-5.0, 5.0)
+    start = rng.uniform(-_START_SPREAD, _START_SPREAD)
     return TimeScale(start + np.concatenate([[0.0], np.cumsum(gaps)]))
 
 
@@ -160,6 +163,8 @@ def identity_suite(
     """Worst relative error per identity over random scales and functions."""
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if min_points < 2:
         raise DomainError(f"min_points must be at least 2, got {min_points}")
     if max_points < min_points:
@@ -171,6 +176,19 @@ def identity_suite(
     if not (math.isfinite(max_gap) and max_gap >= min_gap):
         raise DomainError(
             f"max_gap must be finite and at least min_gap={min_gap}, got {max_gap}"
+        )
+    # random_scale's points stay below _START_SPREAD + (max_points - 1) *
+    # max_gap in magnitude, where floats are at most eps times that apart; a
+    # gap of four such spacings survives the rounding of the cumulative sum
+    # and of the shift by the start point, so the points stay strictly
+    # increasing.
+    reach = _START_SPREAD + (max_points - 1) * max_gap
+    bound = 4.0 * np.finfo(float).eps * reach
+    if not min_gap > bound:
+        raise DomainError(
+            f"min_gap must exceed {bound:.3g}, four float spacings at {reach:g}, the "
+            f"largest point max_points={max_points} gaps of max_gap={max_gap} reach; "
+            f"got {min_gap}"
         )
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in IDENTITY_NAMES}

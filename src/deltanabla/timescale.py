@@ -19,7 +19,8 @@ for bit, the result for that row on its own.
 
 The Dubois-Reymond constraint matrix has one row per hat variation: the
 gaps times the hat's delta or nabla derivative, which is +1 and -1 (up to
-rounding) next to the hat's point and 0 elsewhere.
+rounding) next to the hat's point and 0 elsewhere.  The hats form one
+stack, so the matrix is one derivative call.
 """
 
 from __future__ import annotations
@@ -351,6 +352,12 @@ def hat_variation(ts: TimeScale, interior_index: int) -> GridFunction:
     return GridFunction(ts, v)
 
 
+def _hat_basis(ts: TimeScale) -> GridFunction:
+    """Every hat variation as one stack: row j - 1 is ``hat_variation(ts, j)``."""
+    n = len(ts)
+    return GridFunction(ts, np.eye(n - 2, n, k=1))
+
+
 def variation_constraint_matrix(ts: TimeScale, kind: str) -> np.ndarray:
     """Matrix of the linear functionals f -> integral of f * eta' over the
     hat-variation basis.
@@ -359,18 +366,16 @@ def variation_constraint_matrix(ts: TimeScale, kind: str) -> np.ndarray:
     values of f on the derivative's domain (the scale minus b for "delta",
     minus a for "nabla"): the gaps times the hat's derivative, which is +1
     and -1 (up to rounding) on the two gaps next to the hat's point and 0
-    elsewhere.  The lemma's finite-scale content is that the null space of
-    this matrix is exactly the constants.
+    elsewhere.  All hats are differentiated at once, as one stack.  The
+    lemma's finite-scale content is that the null space of this matrix is
+    exactly the constants.
     """
     if len(ts) < 3:
         raise DomainError("no interior points, so no admissible variations")
     derivative = {"delta": delta_derivative, "nabla": nabla_derivative}.get(kind)
     if derivative is None:
         raise ValueError(f"kind must be 'delta' or 'nabla', got {kind!r}")
-    gaps = ts.gaps()
-    return np.array(
-        [gaps * derivative(hat_variation(ts, j)).values for j in range(1, len(ts) - 1)]
-    )
+    return ts.gaps() * derivative(_hat_basis(ts)).values
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,9 @@ def test_suite_sees_an_integral_off_by_one_part_in_a_billion(monkeypatch, name, 
         ({"min_gap": math.nan}, "min_gap"),
         ({"max_gap": math.inf}, "max_gap"),
         ({"min_gap": 2.0, "max_gap": 1.0}, "max_gap"),
+        ({"seed": -1}, "seed"),
+        ({"min_gap": 1e-9, "max_gap": 1e9}, "min_gap"),
+        ({"min_points": 2, "max_points": 2, "min_gap": 1e-16, "max_gap": 1e-16}, "min_gap"),
     ],
 )
 def test_suite_rejects_bad_arguments_up_front(kwargs, argument):
@@ -169,3 +172,14 @@ def test_suite_boundary_arguments_are_valid():
     assert identity_suite(trials=0) == dict.fromkeys(IDENTITY_NAMES, 0.0)
     worst = identity_suite(trials=5, min_points=2, max_points=2, min_gap=1.0, max_gap=1.0)
     assert max(worst.values()) <= 1e-12
+
+
+def test_suite_gap_bound_names_the_gap_arguments_and_admits_its_edge():
+    # gaps of 1e-9 added to points near 1.2e10 round away, so the scale
+    # would stop being strictly increasing mid-run
+    with pytest.raises(DomainError, match="max_points=13 gaps of max_gap=1000000000.0"):
+        identity_suite(60, 13, max_points=13, min_gap=1e-9, max_gap=1e9)
+    reach = 5.0 + 12 * 1e9
+    edge = np.nextafter(4.0 * np.finfo(float).eps * reach, math.inf)
+    worst = identity_suite(60, 13, max_points=13, min_gap=edge, max_gap=1e9)
+    assert list(worst) == list(IDENTITY_NAMES)

@@ -440,6 +440,32 @@ def test_probe_needs_interior():
         variation_constraint_matrix(two, "nabla")
 
 
+def _dr_scales():
+    rng = np.random.default_rng(31)
+    scales = [TimeScale([1.0, 3.0, 4.0]), TimeScale.sampled_interval(1, 2, 161)]
+    scales += [random_scale(rng, min_points=3, max_points=200) for _ in range(40)]
+    return scales
+
+
+def test_constraint_matrix_equals_hat_by_hat_definition():
+    # the definition, one hat at a time: the gaps times the hat's derivative
+    for ts in _dr_scales():
+        gaps = ts.gaps()
+        for kind, derivative in (("delta", delta_derivative), ("nabla", nabla_derivative)):
+            rows = [gaps * derivative(hat_variation(ts, j)).values for j in range(1, len(ts) - 1)]
+            assert np.array_equal(variation_constraint_matrix(ts, kind), np.array(rows))
+
+
+def test_hat_basis_rows_are_the_hats():
+    from deltanabla.timescale import _hat_basis
+
+    for ts in _dr_scales():
+        stack = _hat_basis(ts)
+        assert stack.scale is ts and stack.values.shape == (len(ts) - 2, len(ts))
+        for j in range(1, len(ts) - 1):
+            assert np.array_equal(stack.values[j - 1], hat_variation(ts, j).values)
+
+
 def test_hat_variation_shape():
     ts = TimeScale([0.0, 1.0, 2.0, 4.0])
     eta = hat_variation(ts, 2)
