@@ -27,7 +27,7 @@ from .directional import (
 from .errors import DomainError, EvaluationError, ProblemFileError
 from .identities import FAMILIES, identity_suite
 from .problemfile import LoadedProblem, load_problem
-from .timescale import GridFunction, delta_derivative, nabla_derivative
+from .timescale import GridFunction, delta_derivative
 from .variational import (
     Certificate,
     Solution,
@@ -52,8 +52,7 @@ def _fmt(x: float) -> str:
 def _write_trajectory_csv(path: str, loaded: LoadedProblem, sol: Solution) -> None:
     ts = sol.y.scale
     n = len(ts)
-    y_delta = delta_derivative(sol.y).values
-    y_nabla = nabla_derivative(sol.y).values
+    slopes = delta_derivative(sol.y).values  # y^Delta(t_i) = y^nabla(t_{i+1})
     try:
         r = el_residual_2(loaded.problem, sol.y).values  # the first form holds the same values
     except EvaluationError:  # the trajectory leaves the Lagrangian's domain
@@ -66,8 +65,8 @@ def _write_trajectory_csv(path: str, loaded: LoadedProblem, sol: Solution) -> No
                 [
                     _fmt(t),
                     _fmt(sol.y.values[i]),
-                    _fmt(y_delta[i]) if i < n - 1 else "",
-                    _fmt(y_nabla[i - 1]) if i > 0 else "",
+                    _fmt(slopes[i]) if i < n - 1 else "",
+                    _fmt(slopes[i - 1]) if i > 0 else "",
                     _fmt(r[i - 1]) if i > 0 else "",
                     _fmt(r[i]) if i < n - 1 else "",
                 ]

@@ -34,6 +34,7 @@ from .variational import (
     Solution,
     Term,
     TermSumProblem,
+    _check_scales,
     _nan_outside_domain,
     _stencil,
     solve,
@@ -73,12 +74,13 @@ def reduced_lagrangian(L: Lagrangian, u: float) -> Lagrangian:
     Its slot partials are u^2 times those of L at the scaled arguments.
     """
     uu = u * u
-    return Lagrangian(
+    reduced = Lagrangian(
         lambda t, s, w: u * L(t, u * s, u * w),
         d2=lambda t, s, w: uu * L.d2(t, u * s, u * w),
         d3=lambda t, s, w: uu * L.d3(t, u * s, u * w),
-        source=L.source,
     )
+    reduced.source = L.source
+    return reduced
 
 
 class DirectionalProblem(TermSumProblem):
@@ -105,9 +107,8 @@ def directional_el_residual(p: DirectionalProblem, y: GridFunction, strict: bool
     matching the sign of u; ``strict=True`` intersects both twice-truncated
     domains (which can be empty on very small scales, raising DomainError).
     """
+    _check_scales(p, y)
     ts = p.scale
-    if y.scale != ts:
-        raise DomainError("trajectory scale differs from the problem scale")
     u = p.u
     e, s, slope = _stencil(p.terms[0].kind, ts, y.values)
     t_e = ts.points[e]
@@ -131,8 +132,8 @@ class DirectionalSolution(Solution):
     (max-abs over the wide domain, and over the strict intersection when
     that is nonempty)."""
 
-    residual_directional: float = 0.0
-    residual_directional_strict: float | None = None
+    residual_directional: float
+    residual_directional_strict: float | None
 
 
 def solve_directional(

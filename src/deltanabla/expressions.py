@@ -22,6 +22,7 @@ is rejected with its byte offset.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -220,12 +221,19 @@ def parse(src: str) -> Expr:
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
+# Each binary operator node: its source spelling, its precedence and its
+# Python operator.  Printing, compiling and evaluating all read this table.
+_BINARY = {
+    Add: (" + ", _PREC_ADD, operator.add),
+    Sub: (" - ", _PREC_ADD, operator.sub),
+    Mul: ("*", _PREC_MUL, operator.mul),
+    Div: ("/", _PREC_MUL, operator.truediv),
+}
+
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
+    if type(e) in _BINARY:
+        return _BINARY[type(e)][1]
     if isinstance(e, Neg):
         return _PREC_NEG
     if isinstance(e, Num) and e.value < 0:
@@ -251,14 +259,9 @@ def to_source(e: Expr) -> str:
         return e.name
     if isinstance(e, Neg):
         return "-" + _wrap(e.arg, _PREC_NEG)
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD, strict=True)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD, strict=True)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL, strict=True)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL, strict=True)}"
+    if type(e) in _BINARY:
+        spelling, prec, _ = _BINARY[type(e)]
+        return f"{_wrap(e.left, prec)}{spelling}{_wrap(e.right, prec, strict=True)}"
     if isinstance(e, Pow):
         return f"{_wrap(e.base, _PREC_POW, strict=True)}^{_wrap(e.exponent, _PREC_NEG)}"
     if isinstance(e, Call):
@@ -302,17 +305,11 @@ def _eval(e: Expr, env: dict[str, float]) -> float:
         return -_eval(e.arg, env)
     if isinstance(e, Num):
         out = e.value  # folding can overflow to a non-finite constant
-    elif isinstance(e, Add):
-        out = _eval(e.left, env) + _eval(e.right, env)
-    elif isinstance(e, Sub):
-        out = _eval(e.left, env) - _eval(e.right, env)
-    elif isinstance(e, Mul):
-        out = _eval(e.left, env) * _eval(e.right, env)
-    elif isinstance(e, Div):
-        num, den = _eval(e.left, env), _eval(e.right, env)
-        if den == 0.0:
+    elif type(e) in _BINARY:
+        left, right = _eval(e.left, env), _eval(e.right, env)
+        if isinstance(e, Div) and right == 0.0:
             raise _fail(e, "division by zero")
-        out = num / den
+        out = _BINARY[type(e)][2](left, right)
     elif isinstance(e, Pow):
         base, exp = _eval(e.base, env), _eval(e.exponent, env)
         try:
@@ -359,14 +356,8 @@ def _py_source(e: Expr) -> str:
         return e.name
     if isinstance(e, Neg):
         return f"(-{_py_source(e.arg)})"
-    if isinstance(e, Add):
-        return f"({_py_source(e.left)} + {_py_source(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_py_source(e.left)} - {_py_source(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_py_source(e.left)} * {_py_source(e.right)})"
-    if isinstance(e, Div):
-        return f"({_py_source(e.left)} / {_py_source(e.right)})"
+    if type(e) in _BINARY:
+        return f"({_py_source(e.left)}{_BINARY[type(e)][0]}{_py_source(e.right)})"
     if isinstance(e, Pow):
         return f"_pow({_py_source(e.base)}, {_py_source(e.exponent)})"
     if isinstance(e, Call):

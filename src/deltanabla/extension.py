@@ -24,6 +24,8 @@ __all__ = [
     "secant_slopes",
 ]
 
+CONVEXITY_TOL = 1e-12  # slope decreases within this, relative to the slope magnitude, count as noise
+
 
 class PLExtension:
     """The piecewise-linear function on [a, b] induced by a grid function.
@@ -51,9 +53,6 @@ class PLExtension:
         beta = (t - s) / (nxt - s)
         alpha = 1.0 - beta
         return float(alpha * vals[i - 1] + beta * vals[i])
-
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self(float(t)) for t in np.asarray(ts).ravel()])
 
 
 def extend(f: GridFunction) -> PLExtension:
@@ -112,16 +111,17 @@ def secant_slopes(f: GridFunction) -> np.ndarray:
     return np.diff(f.values) / f.scale.gaps()
 
 
-def is_convex(f: GridFunction, tol: float = 1e-12) -> bool:
+def is_convex(f: GridFunction) -> bool:
     """Whether f (equivalently its extension, equivalently the convexified
     graph set) is convex: consecutive secant slopes must be nondecreasing.
 
-    ``tol`` absorbs floating-point noise, relative to the slope magnitude.
+    ``CONVEXITY_TOL`` absorbs floating-point noise, relative to the slope
+    magnitude.
     """
     if len(f.scale) < 2:
         raise DomainError("convexity needs at least two points")
     slopes = secant_slopes(f)
     if slopes.size < 2:
         return True
-    allowance = tol * max(1.0, float(np.max(np.abs(slopes))))
+    allowance = CONVEXITY_TOL * max(1.0, float(np.max(np.abs(slopes))))
     return bool(np.all(np.diff(slopes) >= -allowance))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -38,7 +38,7 @@ class LoadedProblem:
     problem: DeltaNablaProblem | DirectionalProblem
     tol: float
     max_iter: int
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def _require(data: dict, key: str) -> Any:

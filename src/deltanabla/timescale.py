@@ -155,17 +155,11 @@ class TimeScale:
 
     def mu(self, t: float) -> float:
         """Forward graininess mu(t) = sigma(t) - t (zero at b)."""
-        i = self.index(t)
-        if i == len(self) - 1:
-            return 0.0
-        return float(self.points[i + 1] - self.points[i])
+        return float(self.sigma(t) - t)
 
     def nu(self, t: float) -> float:
         """Backward graininess nu(t) = t - rho(t) (zero at a)."""
-        i = self.index(t)
-        if i == 0:
-            return 0.0
-        return float(self.points[i] - self.points[i - 1])
+        return float(t - self.rho(t))
 
     # -- truncations -------------------------------------------------------
 
@@ -177,15 +171,11 @@ class TimeScale:
         sigma(b) = b and rho(a) = a).  The result shares this scale's
         points and gaps: a contiguous slice of them is valid as it stands.
         """
-        pts, gaps = self.points, self._gaps
-        for _ in range(tag.drop_right):
-            if pts.size >= 2:
-                pts, gaps = pts[:-1], gaps[:-1]
-        for _ in range(tag.drop_left):
-            if pts.size >= 2:
-                pts, gaps = pts[1:], gaps[1:]
+        n = self.points.size
+        right = min(tag.drop_right, n - 1)
+        left = min(tag.drop_left, n - 1 - right)
         ts = object.__new__(TimeScale)
-        ts.points, ts._gaps = pts, gaps
+        ts.points, ts._gaps = self.points[left : n - right], self._gaps[left : n - 1 - right]
         return ts
 
     @property
@@ -209,8 +199,10 @@ class GridFunction:
     def __init__(self, scale: TimeScale, values: Iterable[float]):
         vals = np.array(values, dtype=float)
         if vals.ndim > 2 or vals.shape[-1:] != scale.points.shape:
+            n = len(scale)
             raise DomainError(
-                f"expected {len(scale)} values for {scale!r}, got {vals.size}"
+                f"expected one function of shape ({n},) or a stack of shape (k, {n}) "
+                f"for {scale!r}, got shape {vals.shape}"
             )
         if not np.isfinite(vals).all():
             raise DomainError("grid function values must be finite")
@@ -389,7 +381,10 @@ class DuboisReymondReport:
     witness: str | None
 
 
-def dubois_reymond_probe(f: GridFunction, kind: str, tol: float = 1e-10) -> DuboisReymondReport:
+DUBOIS_REYMOND_TOL = 1e-10  # integrals and spread within this, relative to max(1, max |f|), count as zero
+
+
+def dubois_reymond_probe(f: GridFunction, kind: str) -> DuboisReymondReport:
     """Check the Dubois-Reymond lemma constructively.
 
     Computes the integral of f against the derivative of every hat
@@ -403,9 +398,9 @@ def dubois_reymond_probe(f: GridFunction, kind: str, tol: float = 1e-10) -> Dubo
     domain_values = f.values[:-1] if kind == "delta" else f.values[1:]
     integrals = matrix @ domain_values
     scale = max(1.0, float(np.max(np.abs(domain_values))))
-    all_vanish = bool(np.max(np.abs(integrals)) <= tol * scale)
+    all_vanish = bool(np.max(np.abs(integrals)) <= DUBOIS_REYMOND_TOL * scale)
     spread = float(np.max(domain_values) - np.min(domain_values))
-    constant = spread <= tol * scale
+    constant = spread <= DUBOIS_REYMOND_TOL * scale
 
     witness = None
     if all_vanish and not constant:

@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,13 +42,7 @@ from .errors import (
     ScaleMismatchError,
 )
 from . import expressions
-from .timescale import (
-    DomainTag,
-    GridFunction,
-    TimeScale,
-    delta_derivative,
-    nabla_derivative,
-)
+from .timescale import DomainTag, GridFunction, TimeScale
 
 FD_STEP = 1e-6  # central-difference step factor, times max(1, |x|)
 HESSIAN = ("yy", "yv", "vv")  # the second partials, as keys of Lagrangian._trees
@@ -68,7 +62,8 @@ class Lagrangian:
 
     Partials are analytic when the Lagrangian comes from a parsed
     expression (or is given explicit derivative callables) and fall back
-    to central finite differences otherwise; ``source`` records which.
+    to central finite differences otherwise; ``source`` records which:
+    "analytic" when ``d2`` is given, "numeric" when it is not.
     The value and the partials take Python floats.  ``values``,
     ``partials`` and ``hessian`` take arrays: a parsed expression evaluates
     each of its trees on them in one call, any other Lagrangian makes its
@@ -82,20 +77,14 @@ class Lagrangian:
         fn: Callable[[float, float, float], float],
         d2: Callable[[float, float, float], float] | None = None,
         d3: Callable[[float, float, float], float] | None = None,
-        source: str | None = None,
-        _trees: dict[str, expressions.Expr] | None = None,
-        text: str | None = None,
-        _arrays: dict[str, Callable] | None = None,
     ):
         if not callable(fn):
             raise ConfigurationError("Lagrangian needs a callable integrand")
         self._fn = fn
-        self._trees = _trees
-        self._arrays = _arrays
-        self.text = text
         self._d2 = d2
         self._d3 = d3
-        self.source = source or ("analytic" if d2 is not None else "numeric")
+        self.source = "analytic" if d2 is not None else "numeric"
+        self._trees = self._arrays = self.text = None  # an expression's, set by from_expression
 
     @classmethod
     def from_expression(cls, src: str) -> "Lagrangian":
@@ -106,9 +95,11 @@ class Lagrangian:
         d2, d3 = diff(tree, "y"), diff(tree, "v")
         trees = {"L": tree, "d2": d2, "d3": d3,
                  "yy": diff(d2, "y"), "yv": diff(d2, "v"), "vv": diff(d3, "v")}
-        fn, d2, d3 = (expressions.compile_expr(trees[key]) for key in ("L", "d2", "d3"))
-        arrays = {key: expressions.compile_expr(e, arrays=True) for key, e in trees.items()}
-        return cls(fn, d2, d3, source="analytic", _trees=trees, text=src, _arrays=arrays)
+        lag = cls(*(expressions.compile_expr(trees[key]) for key in ("L", "d2", "d3")))
+        lag._trees = trees
+        lag._arrays = {key: expressions.compile_expr(e, arrays=True) for key, e in trees.items()}
+        lag.text = src
+        return lag
 
     @classmethod
     def from_callables(
@@ -294,6 +285,19 @@ def _stencil(kind: str, ts: TimeScale, y: np.ndarray) -> tuple[slice, slice, np.
     return e, s, np.diff(y, axis=-1) / ts.gaps()
 
 
+def _term_partials(
+    p: TermSumProblem, y: GridFunction
+) -> Iterator[tuple[Term, slice, slice, np.ndarray, np.ndarray]]:
+    """Check y's scale, then yield each active term with its stencil slices
+    e and s and its partials d2 and d3 at y, one value per gap."""
+    _check_scales(p, y)
+    ts = p.scale
+    for term in p.active_terms:
+        e, s, slope = _stencil(term.kind, ts, y.values)
+        d2, d3 = term.lagrangian.partials(ts.points[e], y.values[s], slope)
+        yield term, e, s, d2, d3
+
+
 def _objectives(p: TermSumProblem, ys: np.ndarray) -> np.ndarray:
     """The objective at every trajectory of ys, a stack of value arrays on
     the problem's scale along its last axis: one call per term for the
@@ -325,12 +329,9 @@ def _el_form(p: TermSumProblem, y: GridFunction) -> np.ndarray:
     which is a delta integral up to t (delta) or a nabla integral up to
     sigma(t) (nabla), for the gap starting at t.
     """
-    _check_scales(p, y)
     ts = p.scale
     F = np.zeros(len(ts) - 1)
-    for term in p.active_terms:
-        e, s, slope = _stencil(term.kind, ts, y.values)
-        d2, d3 = term.lagrangian.partials(ts.points[e], y.values[s], slope)
+    for term, e, _, d2, d3 in _term_partials(p, y):
         prefix = np.concatenate([[0.0], np.cumsum(ts.gaps() * d2)])
         F += term.weight * (d3 - prefix[e])
     return F - np.mean(F)
@@ -363,14 +364,11 @@ def el_residual_2(p: TermSumProblem, y: GridFunction) -> GridFunction:
 def first_variation(p: TermSumProblem, y: GridFunction, eta: GridFunction) -> float:
     """Derivative at 0 of epsilon -> objective(y + epsilon * eta), assembled
     from the partials (d2 against the shifted eta, d3 against its derivative)."""
-    _check_scales(p, y)
     _check_scales(p, eta)
     ts = p.scale
     ev = eta.values
     total = 0.0
-    for term in p.active_terms:
-        e, s, slope = _stencil(term.kind, ts, y.values)
-        d2, d3 = term.lagrangian.partials(ts.points[e], y.values[s], slope)
+    for term, _, s, d2, d3 in _term_partials(p, y):
         total += term.weight * float(ts.gaps() * d2 @ ev[s] + d3 @ np.diff(ev))
     return total
 
@@ -379,12 +377,9 @@ def gradient(p: TermSumProblem, y: GridFunction) -> np.ndarray:
     """Gradient of the functional with respect to the interior trajectory
     values; stationarity of these is exactly constancy of both
     Euler-Lagrange forms."""
-    _check_scales(p, y)
     ts = p.scale
     g = np.zeros(len(ts) - 2)
-    for term in p.active_terms:
-        e, s, slope = _stencil(term.kind, ts, y.values)
-        d2, d3 = term.lagrangian.partials(ts.points[e], y.values[s], slope)
+    for term, _, s, d2, d3 in _term_partials(p, y):
         # gap * d2 lands on the state point; d3 enters each gap's right end
         # and leaves its left end
         full = np.zeros(len(ts))
@@ -572,12 +567,9 @@ def certify(p: TermSumProblem, sol: Solution) -> Certificate:
     if any(term.weight < 0.0 for term in actives):
         return Certificate.LOCAL_ONLY
 
-    y_vals = sol.y.values
-    v_vals = np.concatenate(
-        [delta_derivative(sol.y).values, nabla_derivative(sol.y).values]
-    )
-    y_lo, y_hi = _sample_box(y_vals)
-    v_lo, v_hi = _sample_box(v_vals)
+    _, _, slopes = _stencil("delta", sol.y.scale, sol.y.values)  # y^Delta and y^nabla alike
+    y_lo, y_hi = _sample_box(sol.y.values)
+    v_lo, v_hi = _sample_box(slopes)
     ys = np.linspace(y_lo, y_hi, CERTIFY_GRID)[:, None]
     vs = np.linspace(v_lo, v_hi, CERTIFY_GRID)[None, :]
 

@@ -13,12 +13,16 @@ from deltanabla import (
     DomainError,
     GridFunction,
     Lagrangian,
+    ScaleMismatchError,
     Term,
     TermSumProblem,
     TimeScale,
     d_u_integral,
     delta_integral,
     directional_el_residual,
+    el_residual_1,
+    el_residual_2,
+    gradient,
     nabla_integral,
     objective,
     reduced_lagrangian,
@@ -160,6 +164,17 @@ def test_residual_is_u_times_reduced_residual():
             r = directional_el_residual(p, y)
             inner = _inner_residual(ts, L, y, u)
             assert np.allclose(r.values, u * inner, atol=1e-11)
+
+
+@pytest.mark.parametrize("u", [1.0, -1.0])
+def test_foreign_scale_trajectory_is_a_scale_mismatch(u):
+    p = DirectionalProblem(T134, u, L_TV2, 0.0, 1.0)
+    foreign = GridFunction(TimeScale([1.0, 2.0, 4.0]), [0.0, 0.5, 1.0])
+    checks = [objective, gradient, el_residual_1, el_residual_2, directional_el_residual,
+              lambda p, y: directional_el_residual(p, y, strict=True)]
+    for check in checks:
+        with pytest.raises(ScaleMismatchError):
+            check(p, foreign)
 
 
 def test_residual_domains():

@@ -85,6 +85,22 @@ def test_round_trip_corpus(src):
     assert ex.parse(ex.to_source(tree)) == tree
 
 
+@pytest.mark.parametrize(
+    "src, printed",
+    [
+        ("1-(2-3)", "1.0 - (2.0 - 3.0)"),
+        ("(t+y)*v", "(t + y)*v"),
+        ("8/(4/2)", "8.0/(4.0/2.0)"),
+        ("(-t)^2", "(-t)^2.0"),
+        ("t^-2", "t^-2.0"),
+        ("t - -y", "t - -y"),
+        ("exp(y)*v^2/2 + sin(t)*y", "exp(y)*v^2.0/2.0 + sin(t)*y"),
+    ],
+)
+def test_to_source_spelling(src, printed):
+    assert ex.to_source(ex.parse(src)) == printed
+
+
 def test_round_trip_random():
     rng = np.random.default_rng(99)
     for _ in range(200):

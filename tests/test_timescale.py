@@ -111,6 +111,15 @@ def test_grid_function_validation():
         GridFunction(T134, [1.0, np.nan, 2.0])
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 5)])
+def test_grid_function_shape_error_names_shape_and_rule(shape):
+    ts = TimeScale([0.0, 1.0, 2.0, 3.0, 4.0])
+    rule = "one function of shape (5,) or a stack of shape (k, 5)"
+    with pytest.raises(DomainError) as err:
+        GridFunction(ts, np.zeros(shape))
+    assert rule in str(err.value) and f"got shape {shape}" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # jump operators and graininess
 # ---------------------------------------------------------------------------
@@ -137,6 +146,15 @@ def test_jump_operator_rejects_foreign_point():
         T134.mu(2.5)
 
 
+def test_jumps_and_graininess_are_python_floats():
+    ts = TimeScale([0.1, 0.35, 1.0, 2.7])
+    for t in ts.points:  # np.float64, a subclass of float
+        for op in (ts.sigma, ts.rho, ts.mu, ts.nu):
+            assert type(op(t)) is float
+        assert ts.mu(t) == ts.sigma(t) - t
+        assert ts.nu(t) == t - ts.rho(t)
+
+
 def test_graininess_hand_values():
     assert [T134.mu(t) for t in (1.0, 3.0, 4.0)] == [2.0, 1.0, 0.0]
     assert [T134.nu(t) for t in (1.0, 3.0, 4.0)] == [0.0, 2.0, 1.0]
@@ -154,6 +172,30 @@ def test_domain_truncations():
     # truncation stops at a single point
     tiny = TimeScale([0.0, 1.0])
     assert list(tiny.truncated(DomainTag.KAPPA_SQUARED).points) == [0.0]
+
+
+def _truncated_reference(points: list[float], tag: DomainTag) -> list[float]:
+    """Drop the right endpoint drop_right times, then the left endpoint
+    drop_left times, each only while more than one point remains."""
+    points = list(points)
+    for _ in range(tag.drop_right):
+        if len(points) > 1:
+            points.pop()
+    for _ in range(tag.drop_left):
+        if len(points) > 1:
+            points.pop(0)
+    return points
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_truncated_matches_drop_by_drop_reference(n):
+    points = [0.5 * k * k - 1.0 for k in range(n)]
+    ts = TimeScale(points)
+    for tag in DomainTag:
+        expected = _truncated_reference(points, tag)
+        cut = ts.truncated(tag)
+        assert cut.points.tolist() == expected, tag
+        assert cut.gaps().tolist() == np.diff(expected).tolist(), tag
 
 
 # ---------------------------------------------------------------------------
