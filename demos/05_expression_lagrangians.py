@@ -48,7 +48,7 @@ print()
 # A Lagrangian built from an expression carries analytic partials; one
 # built from a bare callable falls back to central finite differences.
 analytic = Lagrangian.from_expression("exp(y)*v^2")
-numeric = Lagrangian.from_callables(lambda t, y, v: 2.718281828459045**y * v * v)
+numeric = Lagrangian(lambda t, y, v: 2.718281828459045**y * v * v)
 point = (0.0, 0.5, 1.5)
 print(f"analytic d2 at {point}: {analytic.d2(*point):.12f}  (source: {analytic.source})")
 print(f"numeric  d2 at {point}: {numeric.d2(*point):.12f}  (source: {numeric.source})")

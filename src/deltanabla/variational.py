@@ -52,8 +52,9 @@ def _fd_step(x: float) -> float:
     return FD_STEP * max(1.0, abs(x))
 
 
-def _central(f: Callable, t: float, y: float, v: float, hy: float, hv: float) -> float:
-    """Central difference of f(t, y, v) in y (step hy, hv = 0) or in v (hv, hy = 0)."""
+def _central(f: Callable, t, y, v, hy, hv):
+    """Central difference of f(t, y, v) in y (step hy, hv = 0) or in v (hv, hy = 0),
+    on floats or on arrays."""
     return (f(t, y + hy, v + hv) - f(t, y - hy, v - hv)) / (2.0 * (hy + hv))
 
 
@@ -101,15 +102,6 @@ class Lagrangian:
         lag.text = src
         return lag
 
-    @classmethod
-    def from_callables(
-        cls,
-        fn: Callable[[float, float, float], float],
-        d2: Callable[[float, float, float], float] | None = None,
-        d3: Callable[[float, float, float], float] | None = None,
-    ) -> "Lagrangian":
-        return cls(fn, d2, d3)
-
     def _guard(self, raw: Callable, t: float, y: float, v: float, what: str) -> float:
         try:
             out = raw(t, y, v)
@@ -137,7 +129,7 @@ class Lagrangian:
             return self._guard(self._d3, t, y, v, "d3")
         return _central(self, t, y, v, 0.0, _fd_step(v))
 
-    def _on_arrays(self, keys: tuple[str, ...], scalars: Sequence[Callable], t, y, v) -> tuple[np.ndarray, ...]:
+    def _on_arrays(self, keys: tuple[str, ...], t, y, v) -> tuple[np.ndarray, ...]:
         """The functions named by ``keys`` (keys of ``_trees``) at every
         sample of the broadcast arrays t, y and v, one array of the
         broadcast shape each.
@@ -148,14 +140,16 @@ class Lagrangian:
         to a finite result, and so does a non-finite entry.  The samples are
         then evaluated again on the trees, one at a time, so the
         EvaluationError names the failing subexpression.  Any other
-        Lagrangian streams ``scalars``, one guarded scalar function per key,
-        over the samples.
+        Lagrangian streams its guarded scalar function of each key, L, d2
+        or d3, over the samples.
         """
         if self._arrays is None:
+            scalar = {"L": self, "d2": self.d2, "d3": self.d3}
             shape, columns = _samples(t, y, v)
+            count = math.prod(shape)
             return tuple(
-                np.fromiter(itertools.starmap(f, zip(*columns)), float, count=math.prod(shape)).reshape(shape)
-                for f in scalars
+                np.fromiter(itertools.starmap(scalar[key], zip(*columns)), float, count=count).reshape(shape)
+                for key in keys
             )
         try:
             with np.errstate(all="raise", under="ignore"):
@@ -172,28 +166,29 @@ class Lagrangian:
 
     def values(self, t, y, v) -> np.ndarray:
         """L at every sample of the broadcast arrays t, y and v."""
-        (out,) = self._on_arrays(("L",), (self,), t, y, v)
+        (out,) = self._on_arrays(("L",), t, y, v)
         return out
 
     def partials(self, t, y, v) -> tuple[np.ndarray, np.ndarray]:
         """(d2, d3) at every sample of the broadcast arrays t, y and v."""
-        return self._on_arrays(("d2", "d3"), (self.d2, self.d3), t, y, v)
+        return self._on_arrays(("d2", "d3"), t, y, v)
 
     def hessian(self, t, y, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Second partials (yy, yv, vv) at every sample of the broadcast
-        arrays t, y and v: exact for a parsed expression, central
-        differences of the partials for any other Lagrangian."""
-        return self._on_arrays(HESSIAN, (self._fd_yy, self._fd_yv, self._fd_vv), t, y, v)
+        arrays t, y and v: exact for a parsed expression; for any other
+        Lagrangian one central difference of the stacked partials in y and
+        one in v, the mixed partial symmetrized."""
+        if self._arrays is not None:
+            return self._on_arrays(HESSIAN, t, y, v)
+        y, v = np.asarray(y, float), np.asarray(v, float)
 
-    def _fd_yy(self, t: float, y: float, v: float) -> float:
-        return _central(self.d2, t, y, v, _fd_step(y), 0.0)
+        def d23(t, y, v):
+            return np.stack(self.partials(t, y, v))
 
-    def _fd_yv(self, t: float, y: float, v: float) -> float:
-        """The mixed second partial, symmetrized."""
-        return 0.5 * (_central(self.d2, t, y, v, 0.0, _fd_step(v)) + _central(self.d3, t, y, v, _fd_step(y), 0.0))
-
-    def _fd_vv(self, t: float, y: float, v: float) -> float:
-        return _central(self.d3, t, y, v, 0.0, _fd_step(v))
+        hy, hv = (FD_STEP * np.maximum(1.0, np.abs(x)) for x in (y, v))
+        yy, d3y = _central(d23, t, y, v, hy, 0.0)
+        d2v, vv = _central(d23, t, y, v, 0.0, hv)
+        return yy, 0.5 * (d2v + d3y), vv
 
 
 def _samples(t, y, v) -> tuple[tuple[int, ...], list[memoryview]]:

@@ -1,6 +1,8 @@
 """Core finite-scale calculus: jump operators, derivatives, integrals,
 conversion identities, and the Dubois-Reymond probe."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from deltanabla import (
     DomainError,
     DomainTag,
     GridFunction,
+    ScaleMismatchError,
     TimeScale,
     delta_derivative,
     delta_integral,
@@ -109,6 +112,14 @@ def test_grid_function_validation():
         GridFunction(T134, [1.0, 2.0])
     with pytest.raises(DomainError):
         GridFunction(T134, [1.0, np.nan, 2.0])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+def test_grid_functions_on_different_scales_do_not_combine(op):
+    f = GridFunction(T134, [1.0, 2.0, 3.0])
+    g = GridFunction(TimeScale([1.0, 2.0, 4.0]), [1.0, 2.0, 3.0])
+    with pytest.raises(ScaleMismatchError, match="different scales"):
+        op(f, g)
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 5)])

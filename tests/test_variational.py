@@ -5,6 +5,7 @@ import functools
 import math
 import operator
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from deltanabla import (
     norm_1_inf,
     objective,
     random_scale,
+    reduced_lagrangian,
     solve,
 )
 from deltanabla import expressions as ex
@@ -70,7 +72,7 @@ def hand_objective(g1: float, g2: float, y1: float) -> float:
 
 def test_lagrangian_sources():
     assert L_TV2.source == "analytic"
-    numeric = Lagrangian.from_callables(lambda t, y, v: t * v * v)
+    numeric = Lagrangian(lambda t, y, v: t * v * v)
     assert numeric.source == "numeric"
     for t, y, v in [(1.0, 0.2, 0.7), (3.0, -1.0, 2.0)]:
         assert numeric.d3(t, y, v) == pytest.approx(L_TV2.d3(t, y, v), rel=1e-8)
@@ -97,7 +99,7 @@ def test_lagrangian_requires_callable():
 def test_lagrangian_nan_raises_evaluation_error():
     from deltanabla import EvaluationError
 
-    bad = Lagrangian.from_callables(lambda t, y, v: float("nan"))
+    bad = Lagrangian(lambda t, y, v: float("nan"))
     with pytest.raises(EvaluationError):
         bad(0.0, 0.0, 0.0)
 
@@ -149,21 +151,54 @@ def test_hessian_matches_sympy_second_derivatives():
             assert abs(h[0] - ref) <= 1e-12 * max(1.0, abs(ref)), (L.text, point)
 
 
+def _hessian_by_sample(C: Lagrangian, t: float, y: float, v: float) -> tuple[float, float, float]:
+    """A callable Lagrangian's Hessian at one sample, written out: central
+    differences of d2 and d3, the mixed partial symmetrized."""
+    hy, hv = _fd_step(y), _fd_step(v)
+    yv = 0.5 * (_central(C.d2, t, y, v, 0.0, hv) + _central(C.d3, t, y, v, hy, 0.0))
+    return _central(C.d2, t, y, v, hy, 0.0), yv, _central(C.d3, t, y, v, 0.0, hv)
+
+
 def test_hessian_matches_central_differences():
-    # arrays of samples on the exact path, central differences of the
-    # partials sample by sample on the callable path, which has no trees
+    # arrays of samples on the exact path; on the callable path central
+    # differences of the partials, equal bit for bit to the per-sample
+    # formula at every sample, for explicit partials, a value-only
+    # Lagrangian and the directional reduced integrands
     for L, t, y, v in _random_cases(seed=22, count=60):
-        C = Lagrangian.from_callables(L, L.d2, L.d3)
-        ts, ys, vs = np.array([t]), np.array([y, y + 0.01])[:, None], np.array([v, v - 0.01])
+        C = Lagrangian(L, L.d2, L.d3)
+        y_samples, v_samples = [y, y + 0.01], [v, v - 0.01]
+        ts, ys, vs = np.array([t]), np.array(y_samples)[:, None], np.array(v_samples)
         exact = L.hessian(ts, ys, vs)
         fd = C.hessian(ts, ys, vs)
         assert [h.shape for h in fd] == [(2, 2)] * 3
         for j, (h_exact, h_fd) in enumerate(zip(exact, fd)):
             assert h_exact.shape == (2, 2)
             assert np.allclose(h_fd, h_exact, rtol=1e-5, atol=1e-5), (L.text, j)
-        hy, hv = _fd_step(y), _fd_step(v)
-        yv = 0.5 * (_central(C.d2, t, y, v, 0.0, hv) + _central(C.d3, t, y, v, hy, 0.0))
-        assert tuple(h[0, 0] for h in fd) == (_central(C.d2, t, y, v, hy, 0.0), yv, _central(C.d3, t, y, v, 0.0, hv))
+        for M in (C, Lagrangian(L), *(reduced_lagrangian(L, u) for u in (0.5, 2.0, -0.5, -2.0))):
+            ref = np.array([[_hessian_by_sample(M, t, y_, v_) for v_ in v_samples] for y_ in y_samples])
+            assert np.all(np.stack(M.hessian(ts, ys, vs)) == np.moveaxis(ref, -1, 0)), L.text
+
+
+def test_callable_hessian_makes_four_d2_and_four_d3_calls_per_sample():
+    calls = Counter()
+
+    def counted(key, f):
+        def g(t, y, v):
+            calls[key] += 1
+            return f(t, y, v)
+
+        return g
+
+    L = Lagrangian.from_expression("exp(y)*v^2 + sin(t)*y")
+    t = np.array([1.0, 2.0, 3.0])[:, None, None]
+    y = np.linspace(0.0, 1.0, 4)[:, None]
+    v = np.linspace(-1.0, 1.0, 5)
+    samples = 3 * 4 * 5
+    Lagrangian(counted("L", L), counted("d2", L.d2), counted("d3", L.d3)).hessian(t, y, v)
+    assert calls == {"d2": 4 * samples, "d3": 4 * samples}
+    calls.clear()
+    Lagrangian(counted("L", L)).hessian(t, y, v)  # each difference of d2 or d3 takes two values
+    assert calls == {"L": 16 * samples}
 
 
 def test_hessian_fails_where_ieee_arithmetic_hides_a_domain_fault():
@@ -210,7 +245,7 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
 
 def _as_callables(L: Lagrangian) -> Lagrangian:
-    return Lagrangian.from_callables(L, L.d2, L.d3)
+    return Lagrangian(L, L.d2, L.d3)
 
 
 @pytest.mark.parametrize("name", ["directional_backward", "mixed_weights", "sampled_interval"])
@@ -260,7 +295,7 @@ BASELINE_DELTA, BASELINE_NABLA = "t*v^2 + y^2", "exp(y)*v^2/2 + sin(t)*y"
 )
 def test_certify_verdict_same_for_expressions_and_callables(scale, L_delta, L_nabla, alpha, beta, expected):
     exprs = [Lagrangian.from_expression(src) for src in (L_delta, L_nabla)]
-    calls = [Lagrangian.from_callables(L, L.d2, L.d3) for L in exprs]
+    calls = [Lagrangian(L, L.d2, L.d3) for L in exprs]
     p = DeltaNablaProblem(scale, 1.0, 1.0, *exprs, alpha, beta)
     sol = solve(p)
     assert sol.converged
@@ -487,6 +522,27 @@ def test_solve_equal_weights_against_dense_scan():
     best = xs[np.argmin(vals)]
     assert sol.y.values[1] == pytest.approx(best, abs=2e-6)
     assert sol.y.values[1] == pytest.approx(7 / 9, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "g1, g2, order",
+    [(1.0, 0.0, 1), (0.0, 1.0, 1), (1.0, 3.0, 1), (1.0, 1.0, 2)],
+    ids=["delta", "nabla", "1-3", "1-1"],
+)
+def test_solve_converges_to_the_continuous_extremal(g1, g2, order):
+    # independent oracle: on [1, 2] the extremal of t*v^2 with y(1) = 0 and
+    # y(2) = 1 is y = ln t / ln 2.  Each doubling of the sampled interval
+    # divides the max error by 2^order: one-sided stencils are first order,
+    # and equal delta and nabla weights average to a second-order scheme.
+    L = Lagrangian.from_expression("t*v^2")
+    errors = []
+    for n in (11, 21, 41, 81):
+        ts = TimeScale.sampled_interval(1.0, 2.0, n)
+        sol = solve(DeltaNablaProblem(ts, g1, g2, L, L, 0.0, 1.0))
+        assert sol.converged
+        errors.append(np.max(np.abs(sol.y.values - np.log(ts.points) / np.log(2.0))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 0.95 * 2**order <= coarse / fine <= 1.05 * 2**order, errors
 
 
 def test_solve_quadratic_in_two_iterations_from_any_start():
