@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -29,12 +28,11 @@ from .identities import FAMILIES, identity_suite
 from .problemfile import LoadedProblem, load_problem
 from .timescale import GridFunction, delta_derivative
 from .variational import (
-    Certificate,
+    PROBE_DELTA,
+    PROBE_SLACK,
     Solution,
-    TermSumProblem,
+    _probe_objectives,
     el_residual_2,
-    local_min_probe,
-    objective,
     solve,
 )
 
@@ -148,6 +146,20 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_NUMERICAL
 
 
+def _csv_number(row: dict, key: str, i: int) -> float:
+    """The finite number in column key of data row i."""
+    text = row[key]
+    if text is None:
+        raise ProblemFileError("trajectory", f"row {i}: no {key!r} field")
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ProblemFileError("trajectory", f"row {i}: {key!r} is not a finite number: {text!r}")
+    return x
+
+
 def _read_trajectory_csv(path: str, loaded: LoadedProblem) -> GridFunction:
     ts = loaded.problem.scale
     rows = []
@@ -155,14 +167,14 @@ def _read_trajectory_csv(path: str, loaded: LoadedProblem) -> GridFunction:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "t" not in reader.fieldnames or "y" not in reader.fieldnames:
             raise ProblemFileError("trajectory", "CSV needs 't' and 'y' columns")
-        for row in reader:
-            rows.append((float(row["t"]), float(row["y"])))
+        for i, row in enumerate(reader, start=1):
+            rows.append((_csv_number(row, "t", i), _csv_number(row, "y", i)))
     if len(rows) != len(ts):
         raise ProblemFileError(
             "trajectory", f"has {len(rows)} rows but the scale has {len(ts)} points"
         )
     for (t_csv, _), t_scale in zip(rows, ts.points):
-        if abs(t_csv - t_scale) > 1e-12 * max(1.0, abs(t_scale)):
+        if not abs(t_csv - t_scale) <= 1e-12 * max(1.0, abs(t_scale)):
             raise ProblemFileError("trajectory", f"point {t_csv!r} not on the problem scale")
     y = GridFunction(ts, [v for _, v in rows])
     p = loaded.problem
@@ -171,13 +183,6 @@ def _read_trajectory_csv(path: str, loaded: LoadedProblem) -> GridFunction:
     if abs(y.values[-1] - p.beta) > 1e-12 * max(1.0, abs(p.beta)):
         raise ProblemFileError("trajectory", f"y(b)={y.values[-1]!r} does not match boundary beta={p.beta!r}")
     return y
-
-
-def _negated(p: TermSumProblem) -> TermSumProblem:
-    """The problem with every term weight negated: its local minimizers are
-    the original problem's local maximizers."""
-    terms = [dataclasses.replace(term, weight=-term.weight) for term in p.terms]
-    return TermSumProblem(p.scale, terms, p.alpha, p.beta)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -198,24 +203,20 @@ def cmd_check(args: argparse.Namespace) -> int:
         worst = max(worst, rd)
         print(f"directional residual: {rd:.3e}")
     ok = worst <= loaded.tol
-    sol = Solution(
-        y=y,
-        objective=objective(p, y),
-        residual_el1=r,
-        residual_el2=r,
-        certificate=Certificate.NONE,
-        iterations=0,
-        converged=ok,
-    )
+    objectives = _probe_objectives(p, y, args.probe_trials, PROBE_DELTA, args.seed)
+    base = next(objectives)
     if args.probe_trials == 0:
         print("warning: --probe-trials 0 checks nothing; vacuous pass")
-    if local_min_probe(p, sol, n_trials=args.probe_trials, seed=args.seed):
-        probe = "local-minimum probe ({} trials): pass"
-    elif local_min_probe(_negated(p), sol, n_trials=args.probe_trials, seed=args.seed):
-        probe = "local-maximum probe ({} trials): pass"
-    else:
-        probe = "local-minimum probe ({} trials): FAIL"
-    print(probe.format(args.probe_trials))
+    # one pass for both verdicts: a trial is evaluated while either is open
+    is_min = is_max = True
+    for trial in objectives:
+        is_min = is_min and not trial < base - PROBE_SLACK
+        is_max = is_max and not trial > base + PROBE_SLACK
+        if not (is_min or is_max):
+            break
+    kind = "maximum" if is_max and not is_min else "minimum"
+    verdict = "pass" if is_min or is_max else "FAIL"
+    print(f"local-{kind} probe ({args.probe_trials} trials): {verdict}")
     print("stationary within tolerance" if ok else "NOT stationary within tolerance")
     return EXIT_OK if ok else EXIT_NUMERICAL
 

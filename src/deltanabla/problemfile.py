@@ -70,10 +70,9 @@ def _build_scale(data: dict) -> tuple[TimeScale, dict]:
         raise ProblemFileError("timescale", "expected an object")
     if "points" in spec:
         pts = spec["points"]
-        if not isinstance(pts, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in pts
-        ):
+        if not isinstance(pts, list):
             raise ProblemFileError("timescale.points", "expected a list of numbers")
+        pts = [_finite(x, "timescale.points") for x in pts]
         try:
             ts = TimeScale(pts)
         except DomainError as exc:

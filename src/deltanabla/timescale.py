@@ -235,10 +235,14 @@ class GridFunction:
             raise ScaleMismatchError("grid functions live on different scales")
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
+        if not isinstance(other, GridFunction):
+            return NotImplemented
         self._check_same_scale(other)
         return GridFunction(self.scale, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
+        if not isinstance(other, GridFunction):
+            return NotImplemented
         self._check_same_scale(other)
         return GridFunction(self.scale, self.values - other.values)
 

@@ -615,30 +615,24 @@ def norm_1_inf(y: GridFunction) -> float:
     return float(_norms(y.scale, y.values))
 
 
-def local_min_probe(
-    p: TermSumProblem,
-    sol: Solution,
-    n_trials: int = 1000,
-    delta: float = 0.1,
-    seed: int = 0,
-    slack: float = 1e-12,
-) -> bool:
-    """Random-perturbation check that sol.y is a weak local minimizer.
+PROBE_DELTA = 0.1  # radius of the trials' ball in the trajectory norm
+PROBE_SLACK = 1e-12  # a trial within this of the objective at y passes
 
-    Draws admissible variations vanishing at both endpoints, scales each
-    into the delta-ball of the trajectory norm, and requires the objective
-    not to drop by more than ``slack``.  Each trial draws its interior
-    values, skipped when all are zero (its norm is then zero), and then
-    its step factor.  The trials are evaluated as stacks of up to
-    ``CERTIFY_BLOCK // len(p.scale)`` trajectories.  A stack that fails to
-    evaluate is evaluated again one trial at a time, so the verdict, or
-    the error raised, is the first failing trial's, as if every trial
-    were evaluated on its own.
-    """
+
+def _probe_objectives(
+    p: TermSumProblem, y: GridFunction, n_trials: int, delta: float, seed: int
+) -> Iterator[float]:
+    """The objective at y, then at each of n_trials variations of y that
+    vanish at both endpoints, scaled into the delta-ball of the trajectory
+    norm.  A trial draws its interior values (skipped when all are zero)
+    and then its step factor.  Stacks of up to ``CERTIFY_BLOCK //
+    len(p.scale)`` trials are evaluated at once; a stack that fails is
+    evaluated again lazily, one trial at a time, so each trial's error is
+    raised when the caller reaches it, as if it were evaluated alone."""
     if n_trials < 0:
         raise DomainError(f"n_trials must be nonnegative, got {n_trials}")
     rng = np.random.default_rng(seed)
-    base = objective(p, sol.y)
+    yield objective(p, y)
     ts = p.scale
     n = len(ts)
     block = max(1, CERTIFY_BLOCK // n)
@@ -651,13 +645,28 @@ def local_min_probe(
                 factors.append(rng.uniform(0.0, 1.0))
         etas = np.pad(np.reshape(interiors, (len(interiors), n - 2)), ((0, 0), (1, 1)))
         eps = np.array(factors) * delta / (2.0 * _norms(ts, etas))
-        ys = sol.y.values + eps[:, None] * etas
+        ys = y.values + eps[:, None] * etas
         try:  # a trajectory that is not finite fails in GridFunction below, as on its own
             trials = _objectives(p, ys) if np.isfinite(ys).all() else None
         except EvaluationError:
             trials = None
         if trials is None:
             trials = (objective(p, GridFunction(ts, row)) for row in ys)
-        if any(trial < base - slack for trial in trials):
-            return False
-    return True
+        yield from trials
+
+
+def local_min_probe(
+    p: TermSumProblem,
+    sol: Solution,
+    n_trials: int = 1000,
+    delta: float = PROBE_DELTA,
+    seed: int = 0,
+    slack: float = PROBE_SLACK,
+) -> bool:
+    """Random-perturbation check that sol.y is a weak local minimizer: no
+    trial of ``_probe_objectives`` may fall below the objective at sol.y
+    by more than ``slack``.  The verdict, or the error raised, is the
+    first failing trial's."""
+    objectives = _probe_objectives(p, sol.y, n_trials, delta, seed)
+    base = next(objectives)
+    return not any(trial < base - slack for trial in objectives)

@@ -3,12 +3,32 @@
 import csv
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from deltanabla import ProblemFileError, load_problem_dict
+from deltanabla import (
+    Certificate,
+    DomainError,
+    EvaluationError,
+    GridFunction,
+    ProblemFileError,
+    Solution,
+    Term,
+    TermSumProblem,
+    el_residual_2,
+    load_problem_dict,
+    local_min_probe,
+    random_scale,
+    solve,
+    variational,
+)
+from deltanabla import expressions as ex
 from deltanabla.cli import main
+from deltanabla.variational import PROBE_DELTA, _probe_objectives
+from conftest import random_expression
 
 EXAMPLE = {
     "timescale": {"points": [1, 3, 4]},
@@ -87,6 +107,8 @@ def test_load_interval_sampling_recorded():
         pytest.param(lambda d: d.update(gamma1=math.nan), "gamma1", id="gamma1-nan"),
         pytest.param(lambda d: d["boundary"].update(beta=math.inf), "boundary.beta", id="beta-inf"),
         pytest.param(lambda d: d.update(gamma2=10**400), "gamma2", id="gamma2-huge-int"),
+        pytest.param(lambda d: d.update(timescale={"points": [1, 3, 10**400]}), "timescale.points",
+                     id="points-huge-int"),
     ],
 )
 def test_validation_names_offending_key(mutate, key):
@@ -359,3 +381,160 @@ def test_cmd_check_maximizer_passes_the_local_maximum_probe(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "local-maximum probe (200 trials): pass" in out
     assert not any("local-minimum" in line for line in out)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("3.0,", "row 2: 'y' is not a finite number: ''"),
+        ("3.0,abc", "row 2: 'y' is not a finite number: 'abc'"),
+        ("3.0", "row 2: no 'y' field"),
+        ("nan,0.5", "row 2: 't' is not a finite number: 'nan'"),
+        ("inf,0.5", "row 2: 't' is not a finite number: 'inf'"),
+        ("3.0,nan", "row 2: 'y' is not a finite number: 'nan'"),
+    ],
+    ids=["blank-y", "not-a-number", "short-row", "nan-t", "inf-t", "nan-y"],
+)
+def test_cmd_check_names_the_row_of_a_bad_field(tmp_path, capsys, row, message):
+    problem = write_problem(tmp_path, EXAMPLE)
+    traj = tmp_path / "traj.csv"
+    traj.write_text(f"t,y\n1.0,0.0\n{row}\n4.0,1.0\n")
+    assert main(["check", problem, str(traj)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: trajectory: {message}\n"
+    assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# check's two probe verdicts against two separate probes
+# ---------------------------------------------------------------------------
+
+
+def two_probe_line(p, y, n_trials, seed):
+    """The probe line check prints, or its error line, as the local-minimum
+    probe of p followed by the local-minimum probe of p with every weight
+    negated, whose local minimizers are p's local maximizers."""
+    sol = Solution(y, 0.0, 0.0, 0.0, Certificate.NONE, 0, True)
+    terms = [Term(-term.weight, term.lagrangian, term.kind) for term in p.terms]
+    negated = TermSumProblem(p.scale, terms, p.alpha, p.beta)
+    try:
+        if local_min_probe(p, sol, n_trials, seed=seed):
+            return f"local-minimum probe ({n_trials} trials): pass"
+        if local_min_probe(negated, sol, n_trials, seed=seed):
+            return f"local-maximum probe ({n_trials} trials): pass"
+        return f"local-minimum probe ({n_trials} trials): FAIL"
+    except (DomainError, EvaluationError) as exc:  # the errors check reports
+        return f"error: {exc}"
+
+
+def check_line(tmp_path, capsys, data, y, n_trials, seed):
+    """The probe line of ``deltanabla check``, or its error line."""
+    problem = write_problem(tmp_path, data)
+    traj = write_trajectory(tmp_path, y.scale.points, y.values)
+    rc = main(["check", problem, traj, "--probe-trials", str(n_trials), "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    if rc == 1:
+        return err.rstrip("\n")
+    (line,) = [line for line in out.splitlines() if " probe (" in line]
+    return line
+
+
+def _check_cases(seed: int, count: int):
+    """(problem data, trajectory) on random scales with random weights, some
+    of them negative or zero: random expressions at random trajectories,
+    and quadratics a*v^2 + b*y^2 (minimizers, maximizers and saddles) at
+    or near their solutions, a third of them with a 1e-9*log term whose
+    domain ends just below the trajectory.  Only cases whose residuals
+    evaluate, so that check reaches the probe."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        ts = random_scale(rng, min_points=3, max_points=10, min_gap=0.05, max_gap=2.0)
+        gammas = [float(g) for g in rng.choice([1.0, 2.5, -1.0, -3.0, 0.0], 2)]
+        family = rng.choice(["expression", "quadratic", "edge"])
+        if family == "expression":
+            srcs = [ex.to_source(random_expression(rng)) for _ in range(2)]
+        else:
+            a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+            srcs = [f"{a!r}*v^2 + {float(rng.uniform(-40.0, 40.0))!r}*y^2"] * 2
+        ends = rng.uniform(0.5, 2.5, 2)
+        data = {
+            "timescale": {"points": [float(t) for t in ts.points]},
+            "kind": "delta-nabla",
+            "gamma1": gammas[0],
+            "gamma2": gammas[1],
+            "lagrangian_delta": srcs[0],
+            "lagrangian_nabla": srcs[1],
+            "boundary": {"alpha": float(ends[0]), "beta": float(ends[1])},
+        }
+        try:
+            p = load_problem_dict(data).problem
+        except ProblemFileError:  # both weights zero, or a constant fault
+            continue
+        if family == "expression":
+            y = np.interp(ts.points, ts.points[[0, -1]], ends)
+            noise = rng.choice([0.0, 1e-6, 1e-2, 0.3])
+        else:
+            y = solve(p).y.values
+            noise = rng.choice([0.0, 1e-9, 1e-3])
+        y = np.concatenate([y[:1], y[1:-1] + noise * rng.standard_normal(len(ts) - 2), y[-1:]])
+        if family == "edge":
+            c = float(10 ** rng.uniform(-6, -3) - np.min(y))
+            data["lagrangian_delta"] += f" + 1e-9*log(y + {c!r})"
+            p = load_problem_dict(data).problem
+        try:
+            el_residual_2(p, GridFunction(ts, y))
+        except (EvaluationError, ValueError):
+            continue
+        cases.append((data, GridFunction(ts, y)))
+    return cases
+
+
+def _kind(line: str) -> str:
+    return "error" if line.startswith("error") else line.split(" probe")[0] + line.split(":")[-1]
+
+
+def test_check_verdict_equals_two_separate_probes(tmp_path, capsys, monkeypatch):
+    # blocks of 64 // n trials, so that counts fall below, at and past a block
+    monkeypatch.setattr(variational, "CERTIFY_BLOCK", 64)
+    seen = Counter()
+    for k, (data, y) in enumerate(_check_cases(seed=31, count=80)):
+        n_trials, seed = [(0, 0), (1, k), (9, k), (40, k)][k % 4]
+        expected = two_probe_line(load_problem_dict(data).problem, y, n_trials, seed)
+        assert check_line(tmp_path, capsys, data, y, n_trials, seed) == expected, (k, data)
+        seen[_kind(expected)] += 1
+    assert set(seen) == {"local-minimum pass", "local-maximum pass", "local-minimum FAIL", "error"}
+
+
+EDGE = {
+    "timescale": {"points": [0, 1, 2, 3, 4, 5]},
+    "kind": "delta-nabla",
+    "gamma1": 1.0,
+    "gamma2": 0.0,
+    "lagrangian_nabla": "v^2",
+    "boundary": {"alpha": 0.0, "beta": 0.0},
+}
+
+
+@pytest.mark.parametrize(
+    "src, kind",
+    [
+        # trial 1 closes the minimum verdict; the maximum is open at trial 23
+        ("-(v^2) + 1e-9*log(y + 0.01)", "error"),
+        # trials 1 and 2 close both verdicts before trial 23
+        ("v^2 - 2*y^2 + 1e-9*log(y + 0.01)", "local-minimum FAIL"),
+        # the minimum is open at trial 23
+        ("v^2 + 1e-9*log(y + 0.01)", "error"),
+    ],
+    ids=["maximum-open", "both-closed", "minimum-open"],
+)
+def test_check_raises_a_trial_error_only_while_a_verdict_is_open(tmp_path, capsys, src, kind):
+    # with seed 0 on this scale, trial 23 of 40 takes y below -0.01
+    data = dict(EDGE, lagrangian_delta=src)
+    p = load_problem_dict(data).problem
+    y = GridFunction.constant(p.scale, 0.0)
+    with pytest.raises(EvaluationError, match="log of non-positive"):
+        list(_probe_objectives(p, y, 40, PROBE_DELTA, 0))
+    expected = two_probe_line(p, y, 40, 0)
+    assert _kind(expected) == kind
+    assert check_line(tmp_path, capsys, data, y, 40, 0) == expected

@@ -122,6 +122,15 @@ def test_grid_functions_on_different_scales_do_not_combine(op):
         op(f, g)
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+def test_grid_function_and_a_number_do_not_add(op):
+    # NotImplemented from both sides gives Python's own TypeError
+    f = GridFunction(T134, [1.0, 2.0, 3.0])
+    for left, right in ((f, 1.0), (1.0, f)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(left, right)
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 5)])
 def test_grid_function_shape_error_names_shape_and_rule(shape):
     ts = TimeScale([0.0, 1.0, 2.0, 3.0, 4.0])
