@@ -36,7 +36,8 @@ from .variational import (
     TermSumProblem,
     _check_scales,
     _nan_outside_domain,
-    _stencil,
+    _STENCIL,
+    _slopes,
     solve,
 )
 
@@ -110,7 +111,8 @@ def directional_el_residual(p: DirectionalProblem, y: GridFunction, strict: bool
     _check_scales(p, y)
     ts = p.scale
     u = p.u
-    e, s, slope = _stencil(p.terms[0].kind, ts, y.values)
+    e, s = _STENCIL[p.terms[0].kind]
+    slope = _slopes(ts, y.values)
     t_e = ts.points[e]
     d2, d3 = p.L.partials(t_e, u * y.values[s], u * slope)
     # u times the delta (u > 0) or nabla (u < 0) derivative of d3 along the

@@ -5,7 +5,8 @@ operators + - * / ^ (with ^ binding tightest and associating to the right,
 then unary minus, then * /, then + -), and the functions sin, cos, exp,
 log.  Expressions parse to immutable trees that can be evaluated, printed
 back to source, differentiated symbolically, or compiled to a fast callable
-over Python floats or over numpy arrays.
+over Python floats or over numpy arrays, several trees to one numpy kernel
+that evaluates their shared subtrees once.
 
 Grammar (EBNF):
 
@@ -25,7 +26,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -275,14 +276,23 @@ def to_source(e: Expr) -> str:
 
 _FN_TABLE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
 _NAMESPACE = {"_pow": math.pow, "inf": math.inf, "nan": math.nan, **_FN_TABLE}
+
+
+def _broadcast(out, t, y, v):
+    """out at the broadcast shape of t, y and v: out itself when it already
+    has their shape, as a numpy result on arrays of one shape does."""
+    try:
+        same = out.shape == t.shape == y.shape == v.shape
+    except AttributeError:  # a Python float among them
+        same = np.shape(out) == np.shape(t) == np.shape(y) == np.shape(v)
+    return out if same else np.broadcast_arrays(out, t, y, v)[0]
+
+
 _ARRAY_NAMESPACE = {
     "_pow": np.power,
     "inf": np.inf,
     "nan": np.nan,
-    "_broadcast": lambda out, t, y, v: (
-        out if np.shape(out) == np.shape(t) == np.shape(y) == np.shape(v)
-        else np.broadcast_arrays(out, t, y, v)[0]
-    ),
+    "_broadcast": _broadcast,
     **{name: getattr(np, name) for name in FUNCTIONS},
 }
 
@@ -339,29 +349,59 @@ def compile_expr(e: Expr, arrays: bool = False) -> Callable:
     It skips the per-node checks of ``evaluate`` (a constant folded to inf
     or nan compiles to that value); callers that see an arithmetic
     exception or a non-finite result re-run ``evaluate``, which names the
-    failing subexpression.  With ``arrays`` the same source runs on numpy
-    (``np.power``, ``np.sin``, ...) and returns an array of the broadcast
-    shape of t, y and v, also for a constant; numpy flags domain faults
-    only under ``np.errstate(..., "raise")``.
+    failing subexpression.  With ``arrays`` it is the one-tree case of
+    ``compile_kernel``: the same source runs on numpy (``np.power``,
+    ``np.sin``, ...) and returns an array of the broadcast shape of t, y
+    and v, also for a constant; numpy flags domain faults only under
+    ``np.errstate(..., "raise")``.
     """
     if arrays:
-        return eval(f"lambda t, y, v: _broadcast({_py_source(e)}, t, y, v)", _ARRAY_NAMESPACE)
+        kernel = compile_kernel((e,))
+        return lambda t, y, v: kernel(t, y, v)[0]
     return eval(f"lambda t, y, v: {_py_source(e)}", _NAMESPACE)
 
 
-def _py_source(e: Expr) -> str:
+def compile_kernel(trees: Sequence[Expr]) -> Callable:
+    """Compile once to one numpy function of (t, y, v) that returns the
+    tuple of the values of ``trees``, each an array of the broadcast shape
+    of t, y and v, also for a constant.
+
+    The function evaluates each distinct subtree once.  It runs the numpy
+    operations of evaluating the trees one after another, left to right,
+    and skips a subtree whose value it already holds; it neither
+    reassociates nor folds constants.  So each value is bit for bit that of
+    the tree's source as one nested Python expression, and under
+    ``np.errstate(..., "raise")`` the first operation that faults is the
+    same one.
+    """
+    local: dict[str, str] = {}  # source of each distinct compound subtree -> its variable
+
+    def bind(src: str) -> str:
+        return local.setdefault(src, f"_{len(local)}")
+
+    outs = "".join(f"_broadcast({_py_source(e, bind)}, t, y, v), " for e in trees)
+    body = "".join(f"    {name} = {src}\n" for src, name in local.items())
+    env = dict(_ARRAY_NAMESPACE)
+    exec(f"def kernel(t, y, v):\n{body}    return ({outs})\n", env)
+    return env["kernel"]
+
+
+def _py_source(e: Expr, bind: Callable[[str], str] = "({})".format) -> str:
+    """Python source of e over t, y and v.  The source of each compound
+    node, spelled with its children's, passes through ``bind``, which
+    returns how the parent spells it: in parentheses by default."""
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return f"(-{_py_source(e.arg)})"
+        return bind(f"-{_py_source(e.arg, bind)}")
     if type(e) in _BINARY:
-        return f"({_py_source(e.left)}{_BINARY[type(e)][0]}{_py_source(e.right)})"
+        return bind(f"{_py_source(e.left, bind)}{_BINARY[type(e)][0]}{_py_source(e.right, bind)}")
     if isinstance(e, Pow):
-        return f"_pow({_py_source(e.base)}, {_py_source(e.exponent)})"
+        return bind(f"_pow({_py_source(e.base, bind)}, {_py_source(e.exponent, bind)})")
     if isinstance(e, Call):
-        return f"{e.fn}({_py_source(e.arg)})"
+        return bind(f"{e.fn}({_py_source(e.arg, bind)})")
     raise TypeError(f"not an expression node: {e!r}")
 
 

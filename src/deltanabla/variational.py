@@ -67,11 +67,11 @@ class Lagrangian:
     "analytic" when ``d2`` is given, "numeric" when it is not.
     The value and the partials take Python floats.  ``values``,
     ``partials`` and ``hessian`` take arrays: a parsed expression evaluates
-    each of its trees on them in one call, any other Lagrangian makes its
-    guarded scalar calls sample by sample.
+    the trees each one asks for on them in one kernel call, any other
+    Lagrangian makes its guarded scalar calls sample by sample.
     """
 
-    __slots__ = ("_fn", "_d2", "_d3", "_arrays", "_trees", "source", "text")
+    __slots__ = ("_fn", "_d2", "_d3", "_kernels", "_trees", "source", "text")
 
     def __init__(
         self,
@@ -81,11 +81,13 @@ class Lagrangian:
     ):
         if not callable(fn):
             raise ConfigurationError("Lagrangian needs a callable integrand")
+        if not all(f is None or callable(f) for f in (d2, d3)):
+            raise ConfigurationError("Lagrangian needs callable partials d2 and d3, or None")
         self._fn = fn
         self._d2 = d2
         self._d3 = d3
         self.source = "analytic" if d2 is not None else "numeric"
-        self._trees = self._arrays = self.text = None  # an expression's, set by from_expression
+        self._trees = self._kernels = self.text = None  # an expression's, set by from_expression
 
     @classmethod
     def from_expression(cls, src: str) -> "Lagrangian":
@@ -98,7 +100,10 @@ class Lagrangian:
                  "yy": diff(d2, "y"), "yv": diff(d2, "v"), "vv": diff(d3, "v")}
         lag = cls(*(expressions.compile_expr(trees[key]) for key in ("L", "d2", "d3")))
         lag._trees = trees
-        lag._arrays = {key: expressions.compile_expr(e, arrays=True) for key, e in trees.items()}
+        lag._kernels = {
+            keys: expressions.compile_kernel([trees[key] for key in keys])
+            for keys in (("L",), ("d2", "d3"), HESSIAN)
+        }
         lag.text = src
         return lag
 
@@ -134,16 +139,17 @@ class Lagrangian:
         sample of the broadcast arrays t, y and v, one array of the
         broadcast shape each.
 
-        A parsed expression evaluates each tree in one call, under the
-        domain rules of ``expressions.evaluate``: a floating-point fault
-        other than underflow fails even where IEEE arithmetic would carry on
-        to a finite result, and so does a non-finite entry.  The samples are
+        A parsed expression evaluates all of them in one call of the kernel
+        compiled for ``keys``, under the domain rules of
+        ``expressions.evaluate``: a floating-point fault other than
+        underflow fails even where IEEE arithmetic would carry on to a
+        finite result, and so does a non-finite entry.  The samples are
         then evaluated again on the trees, one at a time, so the
         EvaluationError names the failing subexpression.  Any other
         Lagrangian streams its guarded scalar function of each key, L, d2
         or d3, over the samples.
         """
-        if self._arrays is None:
+        if self._kernels is None:
             scalar = {"L": self, "d2": self.d2, "d3": self.d3}
             shape, columns = _samples(t, y, v)
             count = math.prod(shape)
@@ -153,7 +159,7 @@ class Lagrangian:
             )
         try:
             with np.errstate(all="raise", under="ignore"):
-                out = tuple(self._arrays[key](t, y, v) for key in keys)
+                out = self._kernels[keys](t, y, v)
             if all(np.isfinite(a).all() for a in out):
                 return out
             why = "a non-finite result"
@@ -178,7 +184,7 @@ class Lagrangian:
         arrays t, y and v: exact for a parsed expression; for any other
         Lagrangian one central difference of the stacked partials in y and
         one in v, the mixed partial symmetrized."""
-        if self._arrays is not None:
+        if self._kernels is not None:
             return self._on_arrays(HESSIAN, t, y, v)
         y, v = np.asarray(y, float), np.asarray(v, float)
 
@@ -220,17 +226,13 @@ class TermSumProblem:
     def __init__(self, scale: TimeScale, terms: Sequence[Term], alpha: float, beta: float):
         if len(scale) < 3:
             raise DomainError("the scale needs at least one interior point")
-        terms = tuple(terms)
-        if not terms or all(term.weight == 0.0 for term in terms):
+        self.terms = tuple(terms)
+        self.active_terms = tuple(term for term in self.terms if term.weight != 0.0)
+        if not self.active_terms:
             raise DomainError("all term weights vanish; nothing to extremize")
         self.scale = scale
-        self.terms = terms
         self.alpha = float(alpha)
         self.beta = float(beta)
-
-    @property
-    def active_terms(self) -> tuple[Term, ...]:
-        return tuple(term for term in self.terms if term.weight != 0.0)
 
 
 class DeltaNablaProblem(TermSumProblem):
@@ -265,19 +267,23 @@ def _check_scales(p: TermSumProblem, y: GridFunction) -> None:
         raise ScaleMismatchError("trajectory scale differs from the problem scale")
 
 
-def _stencil(kind: str, ts: TimeScale, y: np.ndarray) -> tuple[slice, slice, np.ndarray]:
-    """The two-point stencil that every delta and nabla term shares.
+# The two-point stencil that every delta and nabla term shares: gap i joins
+# points i and i+1, and a term evaluates its integrand at
+# (t_e, y_s, (y_{i+1} - y_i) / gap_i) with (e, s) = (i, i+1) for a delta term
+# and (e, s) = (i+1, i) for a nabla term.  Each kind's slices e and s over
+# the scale points; this is the only place where the two kinds differ.
+_STENCIL = {
+    "delta": (slice(None, -1), slice(1, None)),
+    "nabla": (slice(1, None), slice(None, -1)),
+}
 
-    Gap i joins points i and i+1, and a term evaluates its integrand at
-    (t_e, y_s, (y_{i+1} - y_i) / gap_i) with (e, s) = (i, i+1) for a delta
-    term and (e, s) = (i+1, i) for a nabla term.  Returns the slices e and s
-    over the scale points and the slopes, one per gap, differenced along
-    the last axis of y, so a stack of trajectories gets one row of slopes
-    each.  This is the only place where the two kinds differ.
-    """
-    left, right = slice(None, -1), slice(1, None)
-    e, s = (left, right) if kind == "delta" else (right, left)
-    return e, s, np.diff(y, axis=-1) / ts.gaps()
+
+def _slopes(ts: TimeScale, y: np.ndarray) -> np.ndarray:
+    """The stencil's slope of every gap, differenced along the last axis of
+    y, so a stack of trajectories gets one row of slopes each: y^Delta on
+    [a, b) and y^nabla on (a, b] alike, shared by both kinds.  The slicing
+    difference is ``np.diff``'s, bit for bit."""
+    return (y[..., 1:] - y[..., :-1]) / ts.gaps()
 
 
 def _term_partials(
@@ -287,8 +293,9 @@ def _term_partials(
     e and s and its partials d2 and d3 at y, one value per gap."""
     _check_scales(p, y)
     ts = p.scale
+    slope = _slopes(ts, y.values)
     for term in p.active_terms:
-        e, s, slope = _stencil(term.kind, ts, y.values)
+        e, s = _STENCIL[term.kind]
         d2, d3 = term.lagrangian.partials(ts.points[e], y.values[s], slope)
         yield term, e, s, d2, d3
 
@@ -301,8 +308,9 @@ def _objectives(p: TermSumProblem, ys: np.ndarray) -> np.ndarray:
     compensated."""
     ts = p.scale
     total = np.zeros(ys.shape[:-1])
+    slope = _slopes(ts, ys)
     for term in p.active_terms:
-        e, s, slope = _stencil(term.kind, ts, ys)
+        e, s = _STENCIL[term.kind]
         values = term.lagrangian.values(ts.points[e], ys[..., s], slope)
         total += term.weight * np.cumsum(ts.gaps() * values, axis=-1)[..., -1]
     return total
@@ -372,16 +380,16 @@ def gradient(p: TermSumProblem, y: GridFunction) -> np.ndarray:
     """Gradient of the functional with respect to the interior trajectory
     values; stationarity of these is exactly constancy of both
     Euler-Lagrange forms."""
-    ts = p.scale
-    g = np.zeros(len(ts) - 2)
-    for term, _, s, d2, d3 in _term_partials(p, y):
-        # gap * d2 lands on the state point; d3 enters each gap's right end
-        # and leaves its left end
-        full = np.zeros(len(ts))
-        full[s] += ts.gaps() * d2
-        full[1:] += d3
-        full[:-1] -= d3
-        g += term.weight * full[1:-1]
+    gaps = p.scale.gaps()
+    g = np.zeros(len(gaps) - 1)
+    for term, e, _, d2, d3 in _term_partials(p, y):
+        # gap * d2 lands on the state point, which is interior for the gaps
+        # that e picks, all but the gap that ends (delta) or starts (nabla)
+        # at an endpoint; d3 enters each gap's right end and leaves its left
+        # end.  At each interior point the three are summed in this order
+        interior = gaps[e] * d2[e] + d3[:-1]
+        interior -= d3[1:]
+        g += term.weight * interior
     return g
 
 
@@ -424,7 +432,8 @@ def linear_interpolant(p: TermSumProblem) -> GridFunction:
 
 
 def _assemble(p: TermSumProblem, interior: np.ndarray) -> GridFunction:
-    vals = np.concatenate([[p.alpha], interior, [p.beta]])
+    vals = np.empty(interior.size + 2)
+    vals[0], vals[1:-1], vals[-1] = p.alpha, interior, p.beta
     return GridFunction(p.scale, vals)
 
 
@@ -474,14 +483,16 @@ def solve(
         if gnorm <= gtol:
             break
         H = np.empty((n, n))
+        probe = x.copy()  # x with one coordinate moved, restored after its column
         try:
             for j in range(n):
                 h = _fd_step(x[j])
-                xp = x.copy()
-                xm = x.copy()
-                xp[j] += h
-                xm[j] -= h
-                H[:, j] = (gradient(p, _assemble(p, xp)) - gradient(p, _assemble(p, xm))) / (2.0 * h)
+                probe[j] = x[j] + h
+                g_plus = gradient(p, _assemble(p, probe))
+                probe[j] = x[j] - h
+                g_minus = gradient(p, _assemble(p, probe))
+                probe[j] = x[j]
+                H[:, j] = (g_plus - g_minus) / (2.0 * h)
             H = 0.5 * (H + H.T)
             step = np.linalg.solve(H, -g)
         except (np.linalg.LinAlgError, EvaluationError):  # singular, or a probe left the domain
@@ -562,7 +573,7 @@ def certify(p: TermSumProblem, sol: Solution) -> Certificate:
     if any(term.weight < 0.0 for term in actives):
         return Certificate.LOCAL_ONLY
 
-    _, _, slopes = _stencil("delta", sol.y.scale, sol.y.values)  # y^Delta and y^nabla alike
+    slopes = _slopes(sol.y.scale, sol.y.values)
     y_lo, y_hi = _sample_box(sol.y.values)
     v_lo, v_hi = _sample_box(slopes)
     ys = np.linspace(y_lo, y_hi, CERTIFY_GRID)[:, None]
@@ -600,7 +611,7 @@ def _norms(ts: TimeScale, etas: np.ndarray) -> np.ndarray:
     if len(ts) < 3:
         raise DomainError("the norm needs at least one interior point")
     M = len(ts) - 1
-    _, _, slopes = _stencil("delta", ts, etas)  # y^Delta on [a, b), y^nabla on (a, b]
+    slopes = _slopes(ts, etas)  # y^Delta on [a, b), y^nabla on (a, b]
 
     def sup(a: np.ndarray) -> np.ndarray:
         return np.max(np.abs(a), axis=-1)

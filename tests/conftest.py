@@ -50,3 +50,9 @@ def well_behaved_sample(rng: np.random.Generator, tree, bound: float = 1e3):
     if max(abs(val), abs(d2), abs(d3)) > bound:
         return None
     return t, y, v
+
+
+def nested_array_function(tree):
+    """A tree compiled for arrays as one nested Python expression, with no
+    subtree shared: the reference a fused kernel must match bit for bit."""
+    return eval(f"lambda t, y, v: _broadcast({ex._py_source(tree)}, t, y, v)", ex._ARRAY_NAMESPACE)

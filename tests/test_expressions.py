@@ -7,7 +7,7 @@ import pytest
 
 from deltanabla import EvaluationError, ExpressionSyntaxError
 from deltanabla import expressions as ex
-from conftest import random_expression, well_behaved_sample
+from conftest import nested_array_function, random_expression, well_behaved_sample
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +175,45 @@ def test_array_compilation_matches_scalar_and_broadcasts():
         checked += 1
     constant = ex.compile_expr(ex.parse("2"), arrays=True)(np.zeros(3), 0.0, np.zeros((2, 1)))
     assert constant.shape == (2, 3) and np.all(constant == 2.0)
+
+
+def test_kernel_matches_one_tree_functions_bit_for_bit():
+    # one fused kernel per key set of a Lagrangian, against compile_expr and
+    # the nested one-expression source of each tree, key by key; random
+    # expressions and constant trees, on gradient-like arrays of one shape
+    # and on certify's broadcast shapes (k, 1, 1) x (21, 1) x (1, 21)
+    rng = np.random.default_rng(6)
+    trees = [random_expression(rng) for _ in range(60)]
+    trees += [ex.parse(src) for src in ("2", "-pi", "2*3 - 1/4", "2^0.5")]
+    shapes = [((7,), (7,), (7,)), ((3, 1, 1), (21, 1), (1, 21))]
+    key_sets = []
+    for tree in trees:
+        d2, d3 = ex.differentiate(tree, "y"), ex.differentiate(tree, "v")
+        yy, yv, vv = ex.differentiate(d2, "y"), ex.differentiate(d2, "v"), ex.differentiate(d3, "v")
+        key_sets += [(tree,), (d2, d3), (yy, yv, vv)]
+    # equal as trees (0.0 == -0.0), yet not one subtree: v*-0.0 is -0.0
+    key_sets.append((ex.Mul(ex.Var("v"), ex.Num(0.0)), ex.Mul(ex.Var("v"), ex.Num(-0.0))))
+    for key_set in key_sets:
+        kernel = ex.compile_kernel(key_set)
+        for shape in shapes:
+            t, y, v = (rng.uniform(0.5, 2.5, s) for s in shape)
+            with np.errstate(all="ignore"):
+                fused = kernel(t, y, v)
+                alone = [ex.compile_expr(e, arrays=True)(t, y, v) for e in key_set]
+                nested = [nested_array_function(e)(t, y, v) for e in key_set]
+            assert len(fused) == len(key_set)
+            for got, one, ref, e in zip(fused, alone, nested, key_set):
+                assert got.shape == one.shape == ref.shape == np.broadcast_shapes(*shape)
+                assert got.tobytes() == one.tobytes() == ref.tobytes(), ex.to_source(e)
+
+
+def test_kernel_raises_the_first_fault_of_tree_by_tree_evaluation():
+    # the shared 1/y is evaluated once; the first tree's fault comes first
+    a, b = ex.parse("log(y - 2) + 1/y"), ex.parse("1/y + exp(v)")
+    y = np.array([1.0, 0.0])
+    for trees, match in (((a, b), "invalid value"), ((b, a), "divide by zero")):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError, match=match):
+            ex.compile_kernel(trees)(np.ones(2), y, np.ones(2))
 
 
 # ---------------------------------------------------------------------------

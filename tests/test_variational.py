@@ -44,7 +44,7 @@ from deltanabla import (
 from deltanabla import expressions as ex
 from deltanabla import variational
 from deltanabla.variational import _central, _fd_step, _objectives
-from conftest import random_expression, well_behaved_sample
+from conftest import nested_array_function, random_expression, well_behaved_sample
 
 T134 = TimeScale([1.0, 3.0, 4.0])
 L_TV2 = Lagrangian.from_expression("t*v^2")
@@ -92,8 +92,10 @@ def test_lagrangian_analytic_partials_match_fd():
 
 
 def test_lagrangian_requires_callable():
-    with pytest.raises(ConfigurationError):
-        Lagrangian("not callable")  # type: ignore[arg-type]
+    # a partial that cannot be called fails here, not in the first solve
+    for args in [("not callable",), (L_TV2, 1.0), (L_TV2, L_TV2.d2, 1.0)]:
+        with pytest.raises(ConfigurationError):
+            Lagrangian(*args)  # type: ignore[arg-type]
 
 
 def test_lagrangian_nan_raises_evaluation_error():
@@ -488,6 +490,56 @@ def test_first_variation_matches_central_difference():
         assert abs(fv - fd) <= 1e-5 * max(1.0, abs(fv))
 
 
+def _reference_gradient(p: TermSumProblem, y: GridFunction) -> np.ndarray:
+    """The gradient written term by term: each term's np.diff slope and
+    partials, each partial's tree compiled as one nested expression,
+    scattered into a zeroed full-length array and weighted into g."""
+    ts = p.scale
+    g = np.zeros(len(ts) - 2)
+    for term in p.terms:
+        if term.weight == 0.0:
+            continue
+        left, right = slice(None, -1), slice(1, None)
+        e, s = (left, right) if term.kind == "delta" else (right, left)
+        slope = np.diff(y.values) / ts.gaps()
+        t, ys = ts.points[e], y.values[s]
+        d2, d3 = (nested_array_function(term.lagrangian._trees[key])(t, ys, slope) for key in ("d2", "d3"))
+        full = np.zeros(len(ts))
+        full[s] += ts.gaps() * d2
+        full[1:] += d3
+        full[:-1] -= d3
+        g += term.weight * full[1:-1]
+    return g
+
+
+def test_gradient_is_the_term_by_term_scatter_bit_for_bit():
+    # random expression Lagrangians, both kinds, weights from {1, 2.5, -1, 0}
+    # and random scales and trajectories, compared bit for bit (signed
+    # zeros too) with the scatter written out term by term
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 50:
+        ts = random_scale(rng, min_points=3, max_points=12, min_gap=0.05, max_gap=2.0)
+        terms = [
+            Term(float(rng.choice([1.0, 2.5, -1.0, 0.0])),
+                 Lagrangian.from_expression(ex.to_source(random_expression(rng))),
+                 str(rng.choice(["delta", "nabla"])))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        if all(term.weight == 0.0 for term in terms):
+            continue
+        p = TermSumProblem(ts, terms, 0.0, 1.0)
+        y = GridFunction(ts, rng.uniform(0.5, 2.5, len(ts)))
+        with np.errstate(all="ignore"):
+            ref = _reference_gradient(p, y)
+        try:
+            got = gradient(p, y)
+        except EvaluationError:  # the draw left a Lagrangian's domain
+            continue
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), [t.lagrangian.text for t in terms]
+        checked += 1
+
+
 def test_gradient_equals_first_variation_on_hats():
     rng = np.random.default_rng(4)
     ts = random_scale(rng, min_points=4, max_points=10)
@@ -524,23 +576,40 @@ def test_solve_equal_weights_against_dense_scan():
     assert sol.y.values[1] == pytest.approx(7 / 9, abs=1e-9)
 
 
+LOG_EXTREMAL = ("t*v^2", lambda t: np.log(t) / np.log(2.0))
+SINH_EXTREMAL = ("v^2 + y^2", lambda t: np.sinh(t - 1.0) / np.sinh(1.0))
+
+
 @pytest.mark.parametrize(
-    "g1, g2, order",
-    [(1.0, 0.0, 1), (0.0, 1.0, 1), (1.0, 3.0, 1), (1.0, 1.0, 2)],
-    ids=["delta", "nabla", "1-3", "1-1"],
+    "src, exact, g1, g2, order",
+    [
+        (*LOG_EXTREMAL, 1.0, 0.0, 1),
+        (*LOG_EXTREMAL, 0.0, 1.0, 1),
+        (*LOG_EXTREMAL, 1.0, 3.0, 1),
+        (*LOG_EXTREMAL, 1.0, 1.0, 2),
+        (*SINH_EXTREMAL, 1.0, 0.0, 2),
+        (*SINH_EXTREMAL, 0.0, 1.0, 2),
+        (*SINH_EXTREMAL, 1.0, 1.0, 2),
+        (*SINH_EXTREMAL, 1.0, 3.0, 2),
+    ],
+    ids=["delta", "nabla", "1-3", "1-1", "sinh-delta", "sinh-nabla", "sinh-1-1", "sinh-1-3"],
 )
-def test_solve_converges_to_the_continuous_extremal(g1, g2, order):
-    # independent oracle: on [1, 2] the extremal of t*v^2 with y(1) = 0 and
-    # y(2) = 1 is y = ln t / ln 2.  Each doubling of the sampled interval
-    # divides the max error by 2^order: one-sided stencils are first order,
-    # and equal delta and nabla weights average to a second-order scheme.
-    L = Lagrangian.from_expression("t*v^2")
+def test_solve_converges_to_the_continuous_extremal(src, exact, g1, g2, order):
+    # independent oracles: on [1, 2] with y(1) = 0 and y(2) = 1 the extremal
+    # of t*v^2 is y = ln t / ln 2, and that of v^2 + y^2, whose Euler-Lagrange
+    # equation is y'' = y, is sinh(t - 1) / sinh(1).  Each doubling of the
+    # sampled interval divides the max error by 2^order.  For t*v^2 the
+    # one-sided stencils are first order, and equal delta and nabla weights
+    # average to a second-order scheme.  v^2 + y^2 has constant
+    # coefficients, so every weighting is second order; unlike t*v^2, its
+    # d2 is not zero, so its gap * d2 lands on y^sigma and y^rho.
+    L = Lagrangian.from_expression(src)
     errors = []
     for n in (11, 21, 41, 81):
         ts = TimeScale.sampled_interval(1.0, 2.0, n)
         sol = solve(DeltaNablaProblem(ts, g1, g2, L, L, 0.0, 1.0))
         assert sol.converged
-        errors.append(np.max(np.abs(sol.y.values - np.log(ts.points) / np.log(2.0))))
+        errors.append(np.max(np.abs(sol.y.values - exact(ts.points))))
     for coarse, fine in zip(errors, errors[1:]):
         assert 0.95 * 2**order <= coarse / fine <= 1.05 * 2**order, errors
 
