@@ -15,15 +15,17 @@ u * slope).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .timescale import (
-    DomainTag,
+    _STENCIL,
     GridFunction,
     TimeScale,
+    _slopes,
     delta_integral,
     nabla_integral,
     shift_rho,
@@ -36,8 +38,6 @@ from .variational import (
     TermSumProblem,
     _check_scales,
     _nan_outside_domain,
-    _STENCIL,
-    _slopes,
     solve,
 )
 
@@ -91,6 +91,8 @@ class DirectionalProblem(TermSumProblem):
     ``u`` and the inner ``L`` are kept for the directional residual."""
 
     def __init__(self, scale: TimeScale, u: float, L: Lagrangian, alpha: float, beta: float):
+        if not math.isfinite(u):
+            raise DomainError(f"direction u must be finite, got {u!r}")
         if u == 0.0:
             raise DomainError("direction u must be nonzero; for u = 0 there is nothing to extremize")
         self.u = float(u)
@@ -111,21 +113,20 @@ def directional_el_residual(p: DirectionalProblem, y: GridFunction, strict: bool
     _check_scales(p, y)
     ts = p.scale
     u = p.u
-    e, s = _STENCIL[p.terms[0].kind]
+    e, s, tag = _STENCIL[p.terms[0].kind]
     slope = _slopes(ts, y.values)
-    t_e = ts.points[e]
-    d2, d3 = p.L.partials(t_e, u * y.values[s], u * slope)
+    ts_e = ts.truncated(tag)
+    d2, d3 = p.L.partials(ts_e.points, u * y.values[s], u * slope)
     # u times the delta (u > 0) or nabla (u < 0) derivative of d3 along the
     # points t_e, minus u * d2; it lives on t_e truncated once more
-    resid = u * (np.diff(d3) / np.diff(t_e)) - u * d2[e]
+    resid = u * _slopes(ts_e, d3) - u * d2[e]
     if not strict:
-        tag = DomainTag.KAPPA_SQUARED if u > 0 else DomainTag.KAPPA_SUB_SQUARED
-        return GridFunction(ts.truncated(tag), resid)
+        return GridFunction(ts_e.truncated(tag), resid)
     # both twice-truncated domains intersected: drop two more points on the
-    # side opposite to u
+    # side opposite to u, the side that slice s drops
     if len(ts) < 5:
         raise DomainError("the doubly-truncated intersection is empty on this scale")
-    return GridFunction(TimeScale(ts.points[2:-2]), resid[2:] if u > 0 else resid[:-2])
+    return GridFunction(TimeScale(ts.points[2:-2]), resid[s][s])
 
 
 @dataclass

@@ -343,21 +343,15 @@ def _eval(e: Expr, env: dict[str, float]) -> float:
     return out
 
 
-def compile_expr(e: Expr, arrays: bool = False) -> Callable:
-    """Compile once to a plain function ``lambda t, y, v: ...``.
+def compile_expr(e: Expr) -> Callable:
+    """Compile once to a plain function ``lambda t, y, v: ...`` of floats.
 
     It skips the per-node checks of ``evaluate`` (a constant folded to inf
     or nan compiles to that value); callers that see an arithmetic
     exception or a non-finite result re-run ``evaluate``, which names the
-    failing subexpression.  With ``arrays`` it is the one-tree case of
-    ``compile_kernel``: the same source runs on numpy (``np.power``,
-    ``np.sin``, ...) and returns an array of the broadcast shape of t, y
-    and v, also for a constant; numpy flags domain faults only under
-    ``np.errstate(..., "raise")``.
+    failing subexpression.  ``compile_kernel`` compiles trees for numpy
+    arrays.
     """
-    if arrays:
-        kernel = compile_kernel((e,))
-        return lambda t, y, v: kernel(t, y, v)[0]
     return eval(f"lambda t, y, v: {_py_source(e)}", _NAMESPACE)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .timescale import GridFunction
+from .timescale import GridFunction, _one_function, _slopes
 
 __all__ = [
     "PLExtension",
@@ -42,6 +42,7 @@ class PLExtension:
         self.base = base
 
     def __call__(self, t: float) -> float:
+        _one_function(self.base, "an extended function")
         pts = self.base.scale.points
         vals = self.base.values
         if t < pts[0] or t > pts[-1]:
@@ -76,6 +77,7 @@ def directional_derivative(
     t + h*u stays inside the adjacent gap, where the extension is affine and
     the quotient is exact.
     """
+    _one_function(f, "directional_derivative's f")
     ts = f.scale
     i = ts.index(t)
     if i == 0 or i == len(ts) - 1:
@@ -83,10 +85,8 @@ def directional_derivative(
     if u == 0.0:
         return 0.0
     if method == "closed":
-        vals = f.values
-        if u > 0:
-            return u * float((vals[i + 1] - vals[i]) / (ts.points[i + 1] - ts.points[i]))
-        return u * float((vals[i] - vals[i - 1]) / (ts.points[i] - ts.points[i - 1]))
+        j = i if u > 0 else i - 1  # the gap on u's side of t
+        return u * float(secant_slopes(f)[j])
     if method == "quotient":
         if h is None:
             h = min(ts.mu(t), ts.nu(t)) / (8.0 * max(1.0, abs(u)))
@@ -108,7 +108,7 @@ def epigraph_contains(f: GridFunction, point: tuple[float, float]) -> bool:
 
 def secant_slopes(f: GridFunction) -> np.ndarray:
     """Slopes of consecutive segments of the extension."""
-    return np.diff(f.values) / f.scale.gaps()
+    return _slopes(f.scale, f.values)
 
 
 def is_convex(f: GridFunction) -> bool:
@@ -118,6 +118,7 @@ def is_convex(f: GridFunction) -> bool:
     ``CONVEXITY_TOL`` absorbs floating-point noise, relative to the slope
     magnitude.
     """
+    _one_function(f, "is_convex's f")
     if len(f.scale) < 2:
         raise DomainError("convexity needs at least two points")
     slopes = secant_slopes(f)

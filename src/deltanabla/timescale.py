@@ -12,10 +12,18 @@ and nu(a) = 0.  Truncated domains are ordinary time scales again: the delta
 derivative of f lives on the scale with the last point removed, the nabla
 derivative on the scale with the first point removed.
 
+Both kinds share one two-point stencil on the gaps, and this module's
+``_STENCIL`` table is the one place where they differ: which end of a gap
+a quantity is read at, which end holds the state, and the derivative's
+domain.  Derivatives, integrals, the Dubois-Reymond probe and, in the
+other modules, the variational terms, the directional residual and the
+extension's slopes all read that table and the one slope ``_slopes``.
+
 A grid function may hold a stack of functions on one scale, one per row of
 a (k, len(scale)) array.  Derivatives and shifts act along the last axis,
 integrals reduce along it, and each row of a stacked result equals, bit
-for bit, the result for that row on its own.
+for bit, the result for that row on its own.  Every other function takes
+one function and rejects a stack with a DomainError naming its shape.
 
 The Dubois-Reymond constraint matrix has one row per hat variation: the
 gaps times the hat's delta or nabla derivative, which is +1 and -1 (up to
@@ -260,6 +268,34 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 
+# Gap i joins points i and i+1 with slope (y_{i+1} - y_i) / gap_i.  A
+# quantity of either kind reads the slope at t_e with the state y_s, where
+# (e, s) = (i, i+1) for delta and (i+1, i) for nabla: each kind's slices e
+# and s over the scale points, and the tag of e's points, which is the
+# domain of the kind's derivative.
+_STENCIL = {
+    "delta": (slice(None, -1), slice(1, None), DomainTag.KAPPA),
+    "nabla": (slice(1, None), slice(None, -1), DomainTag.KAPPA_SUB),
+}
+
+
+def _slopes(ts: TimeScale, y: np.ndarray) -> np.ndarray:
+    """The stencil's slope of every gap, differenced along the last axis of
+    y, so a stack gets one row of slopes each: the delta derivative's
+    values and the nabla derivative's alike.  The slicing difference is
+    ``np.diff``'s, bit for bit."""
+    return (y[..., 1:] - y[..., :-1]) / ts.gaps()
+
+
+def _one_function(f: GridFunction, what: str) -> None:
+    """Reject a stack where only one function is meaningful."""
+    if f.values.ndim != 1:
+        raise DomainError(
+            f"{what} must be one function of shape ({len(f.scale)},), "
+            f"got a stack of shape {f.values.shape}"
+        )
+
+
 def _per_row(x: np.ndarray) -> float | np.ndarray:
     """A float for one function's 0-d result, the array for a stack's."""
     return float(x) if x.ndim == 0 else x
@@ -270,23 +306,24 @@ def _require_two_points(ts: TimeScale, what: str) -> None:
         raise DomainError(f"{what} needs a scale with at least two points")
 
 
+def _derivative(f: GridFunction, kind: str) -> GridFunction:
+    _require_two_points(f.scale, f"{kind}_derivative")
+    return GridFunction(f.scale.truncated(_STENCIL[kind][2]), _slopes(f.scale, f.values))
+
+
 def delta_derivative(f: GridFunction) -> GridFunction:
     """Forward difference quotient (f(sigma(t)) - f(t)) / mu(t).
 
     The result lives on the scale with the last point removed; asking it
     for a value at b raises a DomainError.
     """
-    _require_two_points(f.scale, "delta_derivative")
-    d = np.diff(f.values) / f.scale.gaps()
-    return GridFunction(f.scale.truncated(DomainTag.KAPPA), d)
+    return _derivative(f, "delta")
 
 
 def nabla_derivative(f: GridFunction) -> GridFunction:
     """Backward difference quotient (f(t) - f(rho(t))) / nu(t), on the scale
     with the first point removed."""
-    _require_two_points(f.scale, "nabla_derivative")
-    d = np.diff(f.values) / f.scale.gaps()
-    return GridFunction(f.scale.truncated(DomainTag.KAPPA_SUB), d)
+    return _derivative(f, "nabla")
 
 
 def shift_sigma(f: GridFunction) -> GridFunction:
@@ -301,16 +338,16 @@ def shift_rho(f: GridFunction) -> GridFunction:
     return GridFunction(f.scale, np.concatenate([v[..., :1], v[..., :-1]], axis=-1))
 
 
-def _integral(f: GridFunction, lo: float | None, hi: float | None, offset: int, what: str):
-    """Sum of gap_i * f(t_{i + offset}) over the gaps i between lo and hi,
-    along the last axis."""
-    _require_two_points(f.scale, what)
+def _integral(f: GridFunction, lo: float | None, hi: float | None, kind: str):
+    """Sum of gap_i * f(t_e) over the gaps i between lo and hi, along the
+    last axis."""
+    _require_two_points(f.scale, f"{kind}_integral")
     ts = f.scale
     i_lo = 0 if lo is None else ts.index(lo)
     i_hi = len(ts) - 1 if hi is None else ts.index(hi)
     if i_lo > i_hi:
         raise DomainError("integration range has lo > hi")
-    weighted = ts._gaps[i_lo:i_hi] * f.values[..., i_lo + offset : i_hi + offset]
+    weighted = ts._gaps[i_lo:i_hi] * f.values[..., _STENCIL[kind][0]][..., i_lo:i_hi]
     return _per_row(np.add.reduce(weighted, axis=-1))
 
 
@@ -322,7 +359,7 @@ def delta_integral(
     Exact on finite scales; defaults to the full range [a, b].  A float
     for one function, one value per row for a stack.
     """
-    return _integral(f, lo, hi, 0, "delta_integral")
+    return _integral(f, lo, hi, "delta")
 
 
 def nabla_integral(
@@ -330,7 +367,7 @@ def nabla_integral(
 ) -> float | np.ndarray:
     """Sum of nu(t) * f(t) over (lo, hi] intersected with the scale; a
     float for one function, one value per row for a stack."""
-    return _integral(f, lo, hi, 1, "nabla_integral")
+    return _integral(f, lo, hi, "nabla")
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +408,9 @@ def variation_constraint_matrix(ts: TimeScale, kind: str) -> np.ndarray:
     """
     if len(ts) < 3:
         raise DomainError("no interior points, so no admissible variations")
-    derivative = {"delta": delta_derivative, "nabla": nabla_derivative}.get(kind)
-    if derivative is None:
+    if kind not in _STENCIL:
         raise ValueError(f"kind must be 'delta' or 'nabla', got {kind!r}")
-    return ts.gaps() * derivative(_hat_basis(ts)).values
+    return ts.gaps() * _derivative(_hat_basis(ts), kind).values
 
 
 @dataclass(frozen=True)
@@ -400,9 +436,10 @@ def dubois_reymond_probe(f: GridFunction, kind: str) -> DuboisReymondReport:
     passing all integrals would falsify this implementation (not the
     lemma) and is reported through ``witness``.
     """
+    _one_function(f, "dubois_reymond_probe's f")
     ts = f.scale
     matrix = variation_constraint_matrix(ts, kind)
-    domain_values = f.values[:-1] if kind == "delta" else f.values[1:]
+    domain_values = f.values[_STENCIL[kind][0]]
     integrals = matrix @ domain_values
     scale = max(1.0, float(np.max(np.abs(domain_values))))
     all_vanish = bool(np.max(np.abs(integrals)) <= DUBOIS_REYMOND_TOL * scale)

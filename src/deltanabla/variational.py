@@ -14,9 +14,10 @@ Lagrangians.
 
 Every delta term and every nabla term is one two-point stencil,
 sum_i gap_i * L(t_e, y_s, (y_{i+1} - y_i) / gap_i), with (e, s) = (i, i+1)
-for delta and (i+1, i) for nabla.  The objective, the gradient, the first
-variation and the Euler-Lagrange forms are all built from it, so the two
-kinds differ in one place.  The first Euler-Lagrange form at sigma(t)
+for delta and (i+1, i) for nabla, read off the stencil table of
+``timescale``.  The objective, the gradient, the first variation and the
+Euler-Lagrange forms are all built from it, so the two kinds differ in
+that table alone.  The first Euler-Lagrange form at sigma(t)
 equals the second at t: both forms hold the same values on shifted
 domains, and ``residual_el1 == residual_el2``.
 
@@ -42,7 +43,7 @@ from .errors import (
     ScaleMismatchError,
 )
 from . import expressions
-from .timescale import DomainTag, GridFunction, TimeScale
+from .timescale import _STENCIL, DomainTag, GridFunction, TimeScale, _one_function, _slopes
 
 FD_STEP = 1e-6  # central-difference step factor, times max(1, |x|)
 HESSIAN = ("yy", "yv", "vv")  # the second partials, as keys of Lagrangian._trees
@@ -215,7 +216,7 @@ class Term:
     kind: str  # "delta" or "nabla"
 
     def __post_init__(self):
-        if self.kind not in ("delta", "nabla"):
+        if self.kind not in _STENCIL:
             raise ValueError(f"kind must be 'delta' or 'nabla', got {self.kind!r}")
 
 
@@ -227,6 +228,10 @@ class TermSumProblem:
         if len(scale) < 3:
             raise DomainError("the scale needs at least one interior point")
         self.terms = tuple(terms)
+        numbers = [(f"weight of term {i}", term.weight) for i, term in enumerate(self.terms)]
+        for name, x in numbers + [("alpha", alpha), ("beta", beta)]:
+            if not math.isfinite(x):
+                raise DomainError(f"{name} must be finite, got {x!r}")
         self.active_terms = tuple(term for term in self.terms if term.weight != 0.0)
         if not self.active_terms:
             raise DomainError("all term weights vanish; nothing to extremize")
@@ -263,27 +268,9 @@ class DeltaNablaProblem(TermSumProblem):
 
 
 def _check_scales(p: TermSumProblem, y: GridFunction) -> None:
+    _one_function(y, "a trajectory")
     if y.scale != p.scale:
         raise ScaleMismatchError("trajectory scale differs from the problem scale")
-
-
-# The two-point stencil that every delta and nabla term shares: gap i joins
-# points i and i+1, and a term evaluates its integrand at
-# (t_e, y_s, (y_{i+1} - y_i) / gap_i) with (e, s) = (i, i+1) for a delta term
-# and (e, s) = (i+1, i) for a nabla term.  Each kind's slices e and s over
-# the scale points; this is the only place where the two kinds differ.
-_STENCIL = {
-    "delta": (slice(None, -1), slice(1, None)),
-    "nabla": (slice(1, None), slice(None, -1)),
-}
-
-
-def _slopes(ts: TimeScale, y: np.ndarray) -> np.ndarray:
-    """The stencil's slope of every gap, differenced along the last axis of
-    y, so a stack of trajectories gets one row of slopes each: y^Delta on
-    [a, b) and y^nabla on (a, b] alike, shared by both kinds.  The slicing
-    difference is ``np.diff``'s, bit for bit."""
-    return (y[..., 1:] - y[..., :-1]) / ts.gaps()
 
 
 def _term_partials(
@@ -295,7 +282,7 @@ def _term_partials(
     ts = p.scale
     slope = _slopes(ts, y.values)
     for term in p.active_terms:
-        e, s = _STENCIL[term.kind]
+        e, s, _ = _STENCIL[term.kind]
         d2, d3 = term.lagrangian.partials(ts.points[e], y.values[s], slope)
         yield term, e, s, d2, d3
 
@@ -310,7 +297,7 @@ def _objectives(p: TermSumProblem, ys: np.ndarray) -> np.ndarray:
     total = np.zeros(ys.shape[:-1])
     slope = _slopes(ts, ys)
     for term in p.active_terms:
-        e, s = _STENCIL[term.kind]
+        e, s, _ = _STENCIL[term.kind]
         values = term.lagrangian.values(ts.points[e], ys[..., s], slope)
         total += term.weight * np.cumsum(ts.gaps() * values, axis=-1)[..., -1]
     return total
@@ -623,6 +610,7 @@ def _norms(ts: TimeScale, etas: np.ndarray) -> np.ndarray:
 def norm_1_inf(y: GridFunction) -> float:
     """Sum of the sup norms of y^sigma, y^rho, y^Delta, y^nabla, each taken
     over the interior points: the one-row case of the stacked norm."""
+    _one_function(y, "norm_1_inf's y")
     return float(_norms(y.scale, y.values))
 
 

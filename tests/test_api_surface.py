@@ -13,7 +13,6 @@ import deltanabla
 # as ``Class.method``) -> its parameters that have a default
 DEFAULTED = {
     "Lagrangian.__init__": ("d2", "d3"),
-    "compile_expr": ("arrays",),
     "delta_integral": ("lo", "hi"),
     "directional_derivative": ("method", "h"),
     "directional_el_residual": ("strict",),

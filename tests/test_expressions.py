@@ -167,18 +167,18 @@ def test_array_compilation_matches_scalar_and_broadcasts():
             continue
         axes = [x + np.array([0.0, 0.01]) for x in point]
         grid = (axes[0][:, None, None], axes[1][:, None], axes[2])
-        out = ex.compile_expr(tree, arrays=True)(*grid)
+        out = ex.compile_kernel((tree,))(*grid)[0]
         scalar = ex.compile_expr(tree)
         expected = [[[scalar(t, y, v) for v in axes[2]] for y in axes[1]] for t in axes[0]]
         assert out.shape == (2, 2, 2)
         assert np.allclose(out, expected, rtol=1e-13, atol=1e-13), ex.to_source(tree)
         checked += 1
-    constant = ex.compile_expr(ex.parse("2"), arrays=True)(np.zeros(3), 0.0, np.zeros((2, 1)))
+    constant = ex.compile_kernel((ex.parse("2"),))(np.zeros(3), 0.0, np.zeros((2, 1)))[0]
     assert constant.shape == (2, 3) and np.all(constant == 2.0)
 
 
 def test_kernel_matches_one_tree_functions_bit_for_bit():
-    # one fused kernel per key set of a Lagrangian, against compile_expr and
+    # one fused kernel per key set of a Lagrangian, against one-tree kernels and
     # the nested one-expression source of each tree, key by key; random
     # expressions and constant trees, on gradient-like arrays of one shape
     # and on certify's broadcast shapes (k, 1, 1) x (21, 1) x (1, 21)
@@ -199,7 +199,7 @@ def test_kernel_matches_one_tree_functions_bit_for_bit():
             t, y, v = (rng.uniform(0.5, 2.5, s) for s in shape)
             with np.errstate(all="ignore"):
                 fused = kernel(t, y, v)
-                alone = [ex.compile_expr(e, arrays=True)(t, y, v) for e in key_set]
+                alone = [ex.compile_kernel((e,))(t, y, v)[0] for e in key_set]
                 nested = [nested_array_function(e)(t, y, v) for e in key_set]
             assert len(fused) == len(key_set)
             for got, one, ref, e in zip(fused, alone, nested, key_set):

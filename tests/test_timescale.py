@@ -7,22 +7,38 @@ import numpy as np
 import pytest
 
 from deltanabla import (
+    DeltaNablaProblem,
+    DirectionalProblem,
     DomainError,
     DomainTag,
     GridFunction,
+    Lagrangian,
     ScaleMismatchError,
     TimeScale,
     delta_derivative,
     delta_integral,
+    directional_derivative,
+    directional_el_residual,
     dubois_reymond_probe,
+    el_residual_1,
+    el_residual_2,
+    epigraph_contains,
+    extend,
+    first_variation,
+    gradient,
+    is_convex,
     hat_variation,
     identity_suite,
     nabla_derivative,
     nabla_integral,
+    norm_1_inf,
+    objective,
     random_grid_function,
     random_scale,
     shift_rho,
     shift_sigma,
+    solve,
+    solve_directional,
     variation_constraint_matrix,
 )
 
@@ -422,6 +438,46 @@ def test_stacked_operations_equal_row_by_row_exactly():
                 assert stacked.shape == rows.shape[:1]
                 assert list(stacked) == [integral(one, lo, hi) for one in ones]
                 assert all(type(integral(one, lo, hi)) is float for one in ones)
+
+
+T5 = TimeScale([0.0, 1.0, 2.0, 3.0, 4.0])
+STACK5 = GridFunction(T5, np.zeros((2, 5)))
+ONE5 = GridFunction(T5, np.zeros(5))
+L_V2 = Lagrangian.from_expression("v^2")
+P5 = DeltaNablaProblem(T5, 1.0, 1.0, L_V2, L_V2, 0.0, 1.0)
+DP5 = DirectionalProblem(T5, -2.0, L_V2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gradient(P5, STACK5),
+        lambda: objective(P5, STACK5),
+        lambda: el_residual_1(P5, STACK5),
+        lambda: el_residual_2(P5, STACK5),
+        lambda: first_variation(P5, STACK5, ONE5),
+        lambda: first_variation(P5, ONE5, STACK5),
+        lambda: solve(P5, init=STACK5),
+        lambda: solve_directional(DP5, init=STACK5),
+        lambda: directional_el_residual(DP5, STACK5),
+        lambda: norm_1_inf(STACK5),
+        lambda: dubois_reymond_probe(STACK5, "nabla"),
+        lambda: directional_derivative(STACK5, 2.0, 1.0),
+        lambda: directional_derivative(STACK5, 2.0, -1.0, method="quotient"),
+        lambda: extend(STACK5)(2.5),
+        lambda: epigraph_contains(STACK5, (2.5, 0.0)),
+        lambda: is_convex(STACK5),
+    ],
+    ids=["gradient", "objective", "el_residual_1", "el_residual_2", "first_variation-y",
+         "first_variation-eta", "solve", "solve_directional", "directional_el_residual",
+         "norm_1_inf", "dubois_reymond_probe", "directional_derivative",
+         "directional_derivative-quotient", "extension", "epigraph_contains", "is_convex"],
+)
+def test_one_function_arguments_reject_a_stack(call):
+    # only derivatives, shifts and integrals take a stack; every other
+    # function names the stack's shape instead of failing inside numpy
+    with pytest.raises(DomainError, match=r"must be one function of shape \(5,\), got a stack of shape \(2, 5\)"):
+        call()
 
 
 def test_identity_suite_gate():

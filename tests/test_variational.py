@@ -209,7 +209,7 @@ def test_hessian_fails_where_ieee_arithmetic_hides_a_domain_fault():
     L = Lagrangian.from_expression("v^2*(1 + 1/(1 + 1/t))")
     t, y, v = np.zeros(3), np.ones(3), np.ones(3)
     with np.errstate(all="ignore"):
-        vv = ex.compile_expr(L._trees["vv"], arrays=True)(t, y, v)
+        vv = ex.compile_kernel((L._trees["vv"],))(t, y, v)[0]
     assert np.all(vv == 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -318,6 +318,22 @@ def test_problem_rejects_zero_weights():
 def test_problem_requires_interior_point():
     with pytest.raises(DomainError):
         DeltaNablaProblem(TimeScale([0.0, 1.0]), 1.0, 0.0, L_TV2, L_TV2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_problems_reject_non_finite_numbers(bad):
+    # each one names the argument; none reaches the solver
+    cases = [
+        (lambda: DeltaNablaProblem(T134, bad, 1.0, L_TV2, L_TV2, 0.0, 1.0), "weight of term 0"),
+        (lambda: DeltaNablaProblem(T134, 1.0, bad, L_TV2, L_TV2, 0.0, 1.0), "weight of term 1"),
+        (lambda: DeltaNablaProblem(T134, 1.0, 1.0, L_TV2, L_TV2, bad, 1.0), "alpha"),
+        (lambda: DeltaNablaProblem(T134, 1.0, 1.0, L_TV2, L_TV2, 0.0, bad), "beta"),
+        (lambda: TermSumProblem(T134, [Term(bad, L_TV2, "nabla")], 0.0, 1.0), "weight of term 0"),
+        (lambda: DirectionalProblem(T134, bad, L_TV2, 0.0, 1.0), "direction u"),
+    ]
+    for build, name in cases:
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got {bad!r}$"):
+            build()
 
 
 # ---------------------------------------------------------------------------
