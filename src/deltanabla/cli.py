@@ -52,8 +52,9 @@ def _write_trajectory_csv(path: str, loaded: LoadedProblem, sol: Solution) -> No
     n = len(ts)
     slopes = delta_derivative(sol.y).values  # y^Delta(t_i) = y^nabla(t_{i+1})
     try:
-        r = el_residual_2(loaded.problem, sol.y).values  # the first form holds the same values
-    except EvaluationError:  # the trajectory leaves the Lagrangian's domain
+        with np.errstate(all="raise", under="ignore"):
+            r = el_residual_2(loaded.problem, sol.y).values  # the first form holds the same values
+    except (EvaluationError, FloatingPointError):  # it leaves the domain, or overflows
         r = np.full(n - 1, np.nan)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -15,12 +15,12 @@ u * slope).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .extension import _finite_direction
 from .timescale import (
     _STENCIL,
     GridFunction,
@@ -38,6 +38,7 @@ from .variational import (
     TermSumProblem,
     _check_scales,
     _nan_outside_domain,
+    _stream,
     solve,
 )
 
@@ -55,6 +56,7 @@ __all__ = [
 def d_u_integral(f: GridFunction, u: float) -> float:
     """u times the delta integral of f over [a, b] for u >= 0, u times the
     nabla integral for u <= 0 (0 for u = 0, where both branches agree)."""
+    _finite_direction(u)
     if u == 0.0:
         return 0.0
     if u > 0.0:
@@ -64,6 +66,7 @@ def d_u_integral(f: GridFunction, u: float) -> float:
 
 def shifted_composition(y: GridFunction, u: float) -> GridFunction:
     """u * (y o sigma) for u >= 0, u * (y o rho) for u <= 0."""
+    _finite_direction(u)
     if u >= 0.0:
         return u * shift_sigma(y)
     return u * shift_rho(y)
@@ -73,6 +76,10 @@ def reduced_lagrangian(L: Lagrangian, u: float) -> Lagrangian:
     """The integrand of a directional problem's one term: (t, s, w) -> u * L(t, u*s, u*w).
 
     Its slot partials are u^2 times those of L at the scaled arguments.
+    On arrays its fast pass streams L's raw scalar functions at the
+    arguments scaled as arrays and scales the results as arrays, which
+    gives the bits of the scalar closures below; on a fault the closures
+    name it, sample by sample.
     """
     uu = u * u
     reduced = Lagrangian(
@@ -80,6 +87,14 @@ def reduced_lagrangian(L: Lagrangian, u: float) -> Lagrangian:
         d2=lambda t, s, w: uu * L.d2(t, u * s, u * w),
         d3=lambda t, s, w: uu * L.d3(t, u * s, u * w),
     )
+    factor = {"L": u, "d2": uu, "d3": uu}
+
+    def fast(keys, t, s, w):
+        s, w = (u * np.asarray(a, float) for a in (s, w))
+        inner = _stream([L._raw(key) for key in keys], t, s, w)
+        return tuple(factor[key] * a for key, a in zip(keys, inner))
+
+    reduced._fast = fast
     reduced.source = L.source
     return reduced
 
@@ -91,8 +106,7 @@ class DirectionalProblem(TermSumProblem):
     ``u`` and the inner ``L`` are kept for the directional residual."""
 
     def __init__(self, scale: TimeScale, u: float, L: Lagrangian, alpha: float, beta: float):
-        if not math.isfinite(u):
-            raise DomainError(f"direction u must be finite, got {u!r}")
+        _finite_direction(u)
         if u == 0.0:
             raise DomainError("direction u must be nonzero; for u = 0 there is nothing to extremize")
         self.u = float(u)
@@ -147,20 +161,23 @@ def solve_directional(
 ) -> DirectionalSolution:
     """Solve the one-term delta (u > 0) or nabla (u < 0) problem.
 
-    Like ``solve``, it reports a trajectory outside the Lagrangian's domain
-    and does not raise: the directional residuals are then NaN.
+    Like ``solve``, it reports a trajectory outside the Lagrangian's domain,
+    or one where the residual overflows, and does not raise: the
+    directional residuals are then NaN.
     """
     sol = solve(p, tol=tol, max_iter=max_iter, init=init)
 
     def max_abs(strict: bool) -> float:
         return float(np.max(np.abs(directional_el_residual(p, sol.y, strict).values)))
 
-    try:
-        strict_max = _nan_outside_domain(lambda: max_abs(True))
-    except DomainError:
-        strict_max = None
+    with np.errstate(all="raise", under="ignore"):  # an overflow gives NaN, like leaving the domain
+        try:
+            strict_max = _nan_outside_domain(lambda: max_abs(True))
+        except DomainError:
+            strict_max = None
+        wide_max = _nan_outside_domain(lambda: max_abs(False))
     return DirectionalSolution(
         **vars(sol),
-        residual_directional=_nan_outside_domain(lambda: max_abs(False)),
+        residual_directional=wide_max,
         residual_directional_strict=strict_max,
     )

@@ -10,6 +10,8 @@ u * f^Delta(t) to the right and u * f^nabla(t) to the left.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -45,7 +47,7 @@ class PLExtension:
         _one_function(self.base, "an extended function")
         pts = self.base.scale.points
         vals = self.base.values
-        if t < pts[0] or t > pts[-1]:
+        if not pts[0] <= t <= pts[-1]:  # NaN too
             raise DomainError(f"t={t!r} outside [{pts[0]!r}, {pts[-1]!r}]")
         i = int(np.searchsorted(pts, t))
         if i < pts.size and pts[i] == t:
@@ -54,6 +56,12 @@ class PLExtension:
         beta = (t - s) / (nxt - s)
         alpha = 1.0 - beta
         return float(alpha * vals[i - 1] + beta * vals[i])
+
+
+def _finite_direction(u: float) -> None:
+    """Reject a direction u that is NaN or infinite."""
+    if not math.isfinite(u):
+        raise DomainError(f"direction u must be finite, got {u!r}")
 
 
 def extend(f: GridFunction) -> PLExtension:
@@ -78,6 +86,7 @@ def directional_derivative(
     the quotient is exact.
     """
     _one_function(f, "directional_derivative's f")
+    _finite_direction(u)
     ts = f.scale
     i = ts.index(t)
     if i == 0 or i == len(ts) - 1:

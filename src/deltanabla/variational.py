@@ -67,12 +67,12 @@ class Lagrangian:
     to central finite differences otherwise; ``source`` records which:
     "analytic" when ``d2`` is given, "numeric" when it is not.
     The value and the partials take Python floats.  ``values``,
-    ``partials`` and ``hessian`` take arrays: a parsed expression evaluates
-    the trees each one asks for on them in one kernel call, any other
-    Lagrangian makes its guarded scalar calls sample by sample.
+    ``partials`` and ``hessian`` take arrays: one unchecked fast pass over
+    every sample, checked once, and on a fault a naming pass that raises
+    the error of the first failing sample (see ``_on_arrays``).
     """
 
-    __slots__ = ("_fn", "_d2", "_d3", "_kernels", "_trees", "source", "text")
+    __slots__ = ("_fn", "_d2", "_d3", "_fast", "_trees", "source", "text")
 
     def __init__(
         self,
@@ -88,7 +88,9 @@ class Lagrangian:
         self._d2 = d2
         self._d3 = d3
         self.source = "analytic" if d2 is not None else "numeric"
-        self._trees = self._kernels = self.text = None  # an expression's, set by from_expression
+        # the fast array pass (keys, t, y, v) -> arrays, when it is not the
+        # stream of the raw scalar functions; trees and text: an expression's
+        self._fast = self._trees = self.text = None
 
     @classmethod
     def from_expression(cls, src: str) -> "Lagrangian":
@@ -100,11 +102,12 @@ class Lagrangian:
         trees = {"L": tree, "d2": d2, "d3": d3,
                  "yy": diff(d2, "y"), "yv": diff(d2, "v"), "vv": diff(d3, "v")}
         lag = cls(*(expressions.compile_expr(trees[key]) for key in ("L", "d2", "d3")))
-        lag._trees = trees
-        lag._kernels = {
+        kernels = {
             keys: expressions.compile_kernel([trees[key] for key in keys])
             for keys in (("L",), ("d2", "d3"), HESSIAN)
         }
+        lag._fast = lambda keys, t, y, v: kernels[keys](t, y, v)
+        lag._trees = trees
         lag.text = src
         return lag
 
@@ -135,37 +138,45 @@ class Lagrangian:
             return self._guard(self._d3, t, y, v, "d3")
         return _central(self, t, y, v, 0.0, _fd_step(v))
 
+    def _raw(self, key: str) -> Callable[[float, float, float], float]:
+        """The unchecked scalar function of ``key``, L, d2 or d3: the
+        callable in its slot, read now so that a rebound slot is the one
+        called, or the finite-difference method standing in for a missing
+        partial."""
+        fn = {"L": self._fn, "d2": self._d2, "d3": self._d3}[key]
+        return fn if fn is not None else getattr(self, key)
+
     def _on_arrays(self, keys: tuple[str, ...], t, y, v) -> tuple[np.ndarray, ...]:
         """The functions named by ``keys`` (keys of ``_trees``) at every
         sample of the broadcast arrays t, y and v, one array of the
         broadcast shape each.
 
-        A parsed expression evaluates all of them in one call of the kernel
-        compiled for ``keys``, under the domain rules of
+        A fast pass evaluates them without per-sample checks: ``_fast``
+        where it is set (a parsed expression's kernel compiled for
+        ``keys``), otherwise the raw scalar function of each key streamed
+        over the samples.  It runs under the domain rules of
         ``expressions.evaluate``: a floating-point fault other than
         underflow fails even where IEEE arithmetic would carry on to a
-        finite result, and so does a non-finite entry.  The samples are
-        then evaluated again on the trees, one at a time, so the
-        EvaluationError names the failing subexpression.  Any other
-        Lagrangian streams its guarded scalar function of each key, L, d2
-        or d3, over the samples.
+        finite result, and so does a non-finite entry.  On any failure a
+        naming pass evaluates the samples one at a time, so the error
+        raised is the first failing sample's: on a parsed expression's
+        trees, which name the failing subexpression, and otherwise through
+        the guarded scalar functions, whose result it returns when none
+        raises.
         """
-        if self._kernels is None:
-            scalar = {"L": self, "d2": self.d2, "d3": self.d3}
-            shape, columns = _samples(t, y, v)
-            count = math.prod(shape)
-            return tuple(
-                np.fromiter(itertools.starmap(scalar[key], zip(*columns)), float, count=count).reshape(shape)
-                for key in keys
-            )
         try:
             with np.errstate(all="raise", under="ignore"):
-                out = self._kernels[keys](t, y, v)
+                if self._fast is not None:
+                    out = self._fast(keys, t, y, v)
+                else:
+                    out = _stream([self._raw(key) for key in keys], t, y, v)
             if all(np.isfinite(a).all() for a in out):
                 return out
             why = "a non-finite result"
-        except ArithmeticError as exc:  # numpy's FloatingPointError, or a constant's
+        except Exception as exc:  # whatever a raw callable raises, the naming pass raises in order
             why = str(exc)
+        if self._trees is None:
+            return _stream([self if key == "L" else getattr(self, key) for key in keys], t, y, v)
         for s in zip(*_samples(t, y, v)[1]):
             for key in keys:
                 expressions.evaluate(self._trees[key], *s)
@@ -185,7 +196,7 @@ class Lagrangian:
         arrays t, y and v: exact for a parsed expression; for any other
         Lagrangian one central difference of the stacked partials in y and
         one in v, the mixed partial symmetrized."""
-        if self._kernels is not None:
+        if self._trees is not None:
             return self._on_arrays(HESSIAN, t, y, v)
         y, v = np.asarray(y, float), np.asarray(v, float)
 
@@ -205,6 +216,18 @@ def _samples(t, y, v) -> tuple[tuple[int, ...], list[memoryview]]:
     if not arrays[0].shape == arrays[1].shape == arrays[2].shape:
         arrays = np.broadcast_arrays(*arrays)
     return arrays[0].shape, [memoryview(a.ravel()) for a in arrays]
+
+
+def _stream(fns: Sequence[Callable], t, y, v) -> tuple[np.ndarray, ...]:
+    """Each scalar function of fns at every sample of the broadcast arrays
+    t, y and v, one array of the broadcast shape each: function after
+    function, each over the samples in order, on Python floats."""
+    shape, columns = _samples(t, y, v)
+    count = math.prod(shape)
+    return tuple(
+        np.fromiter(itertools.starmap(fn, zip(*columns)), float, count=count).reshape(shape)
+        for fn in fns
+    )
 
 
 @dataclass(frozen=True)
@@ -425,10 +448,11 @@ def _assemble(p: TermSumProblem, interior: np.ndarray) -> GridFunction:
 
 
 def _nan_outside_domain(f: Callable[[], float]) -> float:
-    """f(), or NaN when it leaves the Lagrangian's domain."""
+    """f(), or NaN when it leaves the Lagrangian's domain or, under a
+    raising ``np.errstate``, overflows."""
     try:
         return f()
-    except EvaluationError:
+    except (EvaluationError, FloatingPointError):
         return math.nan
 
 
@@ -444,7 +468,9 @@ def solve(
     singular, or a probe x +- h leaves the Lagrangian's domain, the step is
     steepest descent.  Steps backtrack on the gradient norm, and a trial
     step whose gradient leaves the Lagrangian's domain is rejected like one
-    that does not descend.
+    that does not descend.  An overflow or an invalid operation in the
+    gradient, the Euler-Lagrange form or the objective counts as leaving
+    the domain.
     Non-convergence is reported in the returned Solution, never raised: a
     stationary point where the objective itself cannot be evaluated gives
     ``converged=False`` and ``objective=nan``, with its residuals, and a
@@ -461,51 +487,53 @@ def solve(
     n = x.size
     gtol = tol / (2.0 * max(1, n))
     iterations = 0
-    try:
-        g = gradient(p, _assemble(p, x))
-    except EvaluationError:  # the start point leaves the Lagrangian's domain
-        max_iter = 0
-    for _ in range(max_iter):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= gtol:
-            break
-        H = np.empty((n, n))
-        probe = x.copy()  # x with one coordinate moved, restored after its column
+    # one errstate for the whole solve: per gradient call it would cost more
+    with np.errstate(all="raise", under="ignore"):
         try:
-            for j in range(n):
-                h = _fd_step(x[j])
-                probe[j] = x[j] + h
-                g_plus = gradient(p, _assemble(p, probe))
-                probe[j] = x[j] - h
-                g_minus = gradient(p, _assemble(p, probe))
-                probe[j] = x[j]
-                H[:, j] = (g_plus - g_minus) / (2.0 * h)
-            H = 0.5 * (H + H.T)
-            step = np.linalg.solve(H, -g)
-        except (np.linalg.LinAlgError, EvaluationError):  # singular, or a probe left the domain
-            step = -g
-        # backtrack on the gradient norm
-        lam = 1.0
-        accepted = False
-        while lam >= 2.0**-30:
-            x_trial = x + lam * step
-            try:
-                g_trial = gradient(p, _assemble(p, x_trial))
-            except EvaluationError:  # the trial left the Lagrangian's domain
-                g_trial = np.full(n, math.inf)
-            if float(np.max(np.abs(g_trial))) < gnorm * (1.0 - 1e-4 * lam):
-                x, g = x_trial, g_trial
-                accepted = True
+            g = gradient(p, _assemble(p, x))
+        except (EvaluationError, FloatingPointError):  # the start point leaves the domain
+            max_iter = 0
+        for _ in range(max_iter):
+            gnorm = float(np.max(np.abs(g)))
+            if gnorm <= gtol:
                 break
-            lam *= 0.5
-        iterations += 1
-        if not accepted:
-            break
+            H = np.empty((n, n))
+            probe = x.copy()  # x with one coordinate moved, restored after its column
+            try:
+                for j in range(n):
+                    h = _fd_step(x[j])
+                    probe[j] = x[j] + h
+                    g_plus = gradient(p, _assemble(p, probe))
+                    probe[j] = x[j] - h
+                    g_minus = gradient(p, _assemble(p, probe))
+                    probe[j] = x[j]
+                    H[:, j] = (g_plus - g_minus) / (2.0 * h)
+                H = 0.5 * (H + H.T)
+                step = np.linalg.solve(H, -g)
+            except (np.linalg.LinAlgError, EvaluationError, FloatingPointError):
+                step = -g  # singular, or a probe left the domain
+            # backtrack on the gradient norm
+            lam = 1.0
+            accepted = False
+            while lam >= 2.0**-30:
+                try:
+                    x_trial = x + lam * step
+                    g_trial = gradient(p, _assemble(p, x_trial))
+                except (EvaluationError, FloatingPointError):  # the trial left the domain
+                    g_trial = np.full(n, math.inf)
+                if float(np.max(np.abs(g_trial))) < gnorm * (1.0 - 1e-4 * lam):
+                    x, g = x_trial, g_trial
+                    accepted = True
+                    break
+                lam *= 0.5
+            iterations += 1
+            if not accepted:
+                break
 
-    y = _assemble(p, x)
-    # the second form's residual equals the first form's
-    r = _nan_outside_domain(lambda: float(np.max(np.abs(el_residual_2(p, y).values))))
-    value = _nan_outside_domain(lambda: objective(p, y))
+        y = _assemble(p, x)
+        # the second form's residual equals the first form's
+        r = _nan_outside_domain(lambda: float(np.max(np.abs(el_residual_2(p, y).values))))
+        value = _nan_outside_domain(lambda: objective(p, y))
     converged = r <= tol and not math.isnan(value)
     sol = Solution(
         y=y,

@@ -246,6 +246,21 @@ def test_cmd_solve_start_outside_the_domain_exit_2(tmp_path, capsys):
     assert report["trajectory"]["y"][3] == 0.0
 
 
+def test_cmd_solve_overflow_exit_2(tmp_path, capsys):
+    # the partials are finite, the mean of the Euler-Lagrange form overflows
+    data = json.loads(json.dumps(EXAMPLE))
+    data["timescale"] = {"interval": {"a": 0.0, "b": 1.0, "n": 7}}
+    data["gamma2"] = 0.0
+    data["lagrangian_delta"] = "4e307*sin(4*v) + v^2"
+    out_csv, out_json = str(tmp_path / "traj.csv"), str(tmp_path / "report.json")
+    code = main(["solve", write_problem(tmp_path, data), "--out", out_csv, "--report", out_json])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("NOT converged: ")
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_raise_on_constant)
+    assert report["certificate"] == "none"
+    assert report["residuals"] == {"el1_max": None, "el2_max": None}
+
+
 def test_csv_and_report_deterministic(tmp_path):
     problem = write_problem(tmp_path, EXAMPLE)
     a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"

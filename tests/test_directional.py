@@ -3,6 +3,7 @@ directional Euler-Lagrange residual, and solution as the one-term delta or
 nabla problem."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from deltanabla import (
     TimeScale,
     d_u_integral,
     delta_integral,
+    directional_derivative,
     directional_el_residual,
     el_residual_1,
     el_residual_2,
@@ -57,6 +59,22 @@ def test_d_u_integral_continuous_at_zero():
     f = GridFunction(ts, rng.uniform(-1, 1, 6))
     for u in (1e-9, -1e-9):
         assert abs(d_u_integral(f, u)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: d_u_integral(f, math.nan),
+        lambda f: directional_derivative(f, 1.0, math.nan),
+        lambda f: directional_derivative(f, 1.0, math.inf),
+        lambda f: shifted_composition(f, math.nan),
+    ],
+    ids=["d_u_integral-nan", "directional_derivative-nan", "directional_derivative-inf", "shifted_composition-nan"],
+)
+def test_direction_must_be_finite(call):
+    f = GridFunction(TimeScale([0.0, 1.0, 2.0, 3.0]), [0.0, 1.0, 4.0, 9.0])
+    with pytest.raises(DomainError, match=r"^direction u must be finite, got (nan|inf)$"):
+        call(f)
 
 
 def test_shifted_composition_branches():
@@ -265,3 +283,13 @@ def test_solve_directional_reports_a_start_point_outside_the_domain(u):
     sol = solve_directional(DirectionalProblem(TimeScale.sampled_interval(0, 1, 7), u, L, -1.0, 1.0))
     assert not sol.converged and sol.iterations == 0
     assert np.isnan(sol.residual_directional) and np.isnan(sol.residual_directional_strict)
+
+
+@pytest.mark.parametrize("u", [0.5, -1.0])
+def test_solve_directional_reports_an_overflowing_residual(u):
+    # the inner d3 = 1.6e308*cos(4*v + 9*t) + 2*v is finite; its slope
+    # along the scale, in the directional residual, is not
+    L = Lagrangian.from_expression("4e307*sin(4*v + 9*t) + v^2")
+    sol = solve_directional(DirectionalProblem(TimeScale.sampled_interval(0, 1, 7), u, L, 0.0, 1.0))
+    assert not sol.converged
+    assert np.isnan(sol.residual_directional)

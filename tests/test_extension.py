@@ -55,6 +55,10 @@ def test_extension_outside_domain_errors():
         fbar(0.999)
     with pytest.raises(DomainError):
         fbar(4.001)
+    with pytest.raises(DomainError, match="^t=nan outside"):
+        fbar(float("nan"))
+    with pytest.raises(DomainError, match="^t=nan outside"):
+        epigraph_contains(TENT, (float("nan"), 0.0))
 
 
 def test_extension_linearity():

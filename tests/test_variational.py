@@ -201,6 +201,108 @@ def test_callable_hessian_makes_four_d2_and_four_d3_calls_per_sample():
     calls.clear()
     Lagrangian(counted("L", L)).hessian(t, y, v)  # each difference of d2 or d3 takes two values
     assert calls == {"L": 16 * samples}
+    # a reduced integrand calls the inner L's raw partials, read when it
+    # runs: slots rebound after the reduction, as a counter rebinds them,
+    # are the ones counted
+    calls.clear()
+    R = reduced_lagrangian(L, -2.0)
+    for slot, key in (("_fn", "L"), ("_d2", "d2"), ("_d3", "d3")):
+        setattr(L, slot, counted(key, getattr(L, slot)))
+    R.hessian(t, y, v)
+    assert calls == {"d2": 4 * samples, "d3": 4 * samples}
+
+
+def _arrays_or_error(f, *args):
+    """f(*args) as the shape and bytes of each array it returns, or as the
+    type and text of the error it raises."""
+    try:
+        out = f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(a.shape, a.tobytes()) for a in (out if isinstance(out, tuple) else (out,))]
+
+
+def _by_sample(fns, t, y, v):
+    """Each scalar function at every sample of the broadcast arrays t, y
+    and v: function after function, sample after sample, in C order."""
+    t, y, v = np.broadcast_arrays(*(np.asarray(a, float) for a in (t, y, v)))
+    samples = list(zip(t.ravel().tolist(), y.ravel().tolist(), v.ravel().tolist()))
+    return tuple(np.array([f(*s) for s in samples], float).reshape(t.shape) for f in fns)
+
+
+def _hessian_of_samples(M, t, y, v):
+    """A callable Lagrangian's Hessian as ``Lagrangian.hessian`` takes it,
+    central differences of the stacked partials, with every partial taken
+    sample by sample."""
+    y, v = np.asarray(y, float), np.asarray(v, float)
+
+    def d23(t, y, v):
+        return np.stack(_by_sample((M.d2, M.d3), t, y, v))
+
+    hy, hv = (variational.FD_STEP * np.maximum(1.0, np.abs(x)) for x in (y, v))
+    yy, d3y = _central(d23, t, y, v, hy, 0.0)
+    d2v, vv = _central(d23, t, y, v, 0.0, hv)
+    return yy, 0.5 * (d2v + d3y), vv
+
+
+def _same_as_by_sample(M, t, y, v):
+    return (
+        _arrays_or_error(M.values, t, y, v) == _arrays_or_error(_by_sample, (M,), t, y, v)
+        and _arrays_or_error(M.partials, t, y, v) == _arrays_or_error(_by_sample, (M.d2, M.d3), t, y, v)
+        and _arrays_or_error(M.hessian, t, y, v) == _arrays_or_error(_hessian_of_samples, M, t, y, v)
+    )
+
+
+DIRECTIONS = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0)
+
+
+@pytest.mark.parametrize("u", DIRECTIONS)
+def test_reduced_arrays_equal_the_closures_sample_by_sample(u):
+    # the reduced integrand streams the inner L's scalar functions at
+    # arguments scaled as arrays: the same bits, and the same first error,
+    # as its closures sample by sample, where L's numpy kernels would differ
+    # in the last bit; on samples of shape (k,) around each case and, for
+    # one case in six, on certify's broadcast (b, 1, 1) x (21, 1) x (1, 21)
+    rng = np.random.default_rng(26)
+    for i, (L, t, y, v) in enumerate(_random_cases(seed=26, count=60)):
+        R = reduced_lagrangian(L, u)
+        k = 8
+        assert _same_as_by_sample(R, np.full(k, t), y + rng.uniform(-1, 1, k), v + rng.uniform(-1, 1, k)), L.text
+        if i % len(DIRECTIONS) == DIRECTIONS.index(u):
+            ts = np.array([t, t + 0.5])[:, None, None]
+            ys = np.linspace(y - 1.0, y + 1.0, 21)[:, None]
+            vs = np.linspace(v - 1.0, v + 1.0, 21)[None, :]
+            assert _same_as_by_sample(R, ts, ys, vs), L.text
+
+
+def _inf_at_3(t, y, v):
+    return math.inf if y == 3.0 else y
+
+
+def _inf_at_3_raise_at_5(t, y, v):
+    if y == 5.0:
+        raise RuntimeError("sample 5")
+    return _inf_at_3(t, y, v)
+
+
+@pytest.mark.parametrize(
+    "M, y, v",
+    [
+        # the inner log(y) at a negative scaled state, and 1/y at 0
+        (reduced_lagrangian(Lagrangian.from_expression("v^2 + log(y)"), -0.5), [-4.0, -2.0, 2.0, 0.0], 1.0),
+        # u^2 * d2 = 4e308 overflows at the first sample, before the inner
+        # d2 = 1e308 + 1/y divides by zero at the second
+        (reduced_lagrangian(Lagrangian.from_expression("1e308*y + log(y)"), 2.0), [0.5, 0.0], 1.0),
+        # a plain callable, non-finite at sample 3 and raising at sample 5
+        (Lagrangian(_inf_at_3_raise_at_5, _inf_at_3_raise_at_5, _inf_at_3_raise_at_5), np.arange(8.0), 0.0),
+        # and one that only returns a non-finite value
+        (Lagrangian(_inf_at_3, _inf_at_3, _inf_at_3), np.arange(8.0), 0.0),
+    ],
+)
+def test_array_errors_are_the_first_failing_samples(M, y, v):
+    t = np.zeros(len(y))
+    assert _arrays_or_error(M.values, t, y, v)[0] is EvaluationError
+    assert _same_as_by_sample(M, t, y, v)
 
 
 def test_hessian_fails_where_ieee_arithmetic_hides_a_domain_fault():
@@ -723,6 +825,25 @@ def test_solve_reports_a_start_point_outside_the_domain():
     assert sol.certificate is Certificate.NONE
     assert np.isnan(sol.objective)
     assert not np.isfinite(sol.residual_el1) and not np.isfinite(sol.residual_el2)
+
+
+@pytest.mark.parametrize("slopes", [None, [0.0, 1.0, 0.0, 1.0, 0.0]])
+def test_solve_reports_an_overflow_like_leaving_the_domain(slopes):
+    # d3 = 1.6e308*cos(4*v) + 2*v is finite; on the straight line the
+    # gradient vanishes and the mean of the Euler-Lagrange form overflows,
+    # and a start whose slopes alternate between 0 and pi/4, where d3 flips
+    # sign, overflows the gradient itself
+    L = Lagrangian.from_expression("4e307*sin(4*v) + v^2")
+    ts = TimeScale.sampled_interval(0, 1, 7)
+    p = DeltaNablaProblem(ts, 1, 0, L, L, 0, 1)
+    init = None
+    if slopes is not None:
+        init = GridFunction(ts, np.concatenate([[0.0], np.cumsum(slopes) * math.pi / 24, [1.0]]))
+    sol = solve(p, init=init)
+    assert not sol.converged and sol.iterations == 0
+    assert sol.certificate is Certificate.NONE
+    assert np.isnan(sol.residual_el1) and np.isnan(sol.residual_el2)
+    assert np.isfinite(sol.objective)
 
 
 # ---------------------------------------------------------------------------
