@@ -31,6 +31,7 @@ from .variational import (
     PROBE_DELTA,
     PROBE_SLACK,
     Solution,
+    _nan_outside_domain,
     _probe_objectives,
     el_residual_2,
     solve,
@@ -196,14 +197,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     y = _read_trajectory_csv(args.trajectory, loaded)
     p = loaded.problem
-    r = float(np.max(np.abs(el_residual_2(p, y).values)))  # equals the first form's
-    worst = r
-    print(f"residuals: el1={r:.3e} el2={r:.3e} (tol={loaded.tol:g})")
-    if loaded.kind == "directional":
-        rd = float(np.max(np.abs(directional_el_residual(p, y).values)))
-        worst = max(worst, rd)
-        print(f"directional residual: {rd:.3e}")
-    ok = worst <= loaded.tol
+
+    def max_abs(residual) -> float:
+        return _nan_outside_domain(lambda: float(np.max(np.abs(residual(p, y).values))))
+
+    # as in solve: leaving the domain, or an overflow, gives NaN
+    with np.errstate(all="raise", under="ignore"):
+        worst = [max_abs(el_residual_2)]  # equals the first form's
+        print(f"residuals: el1={worst[0]:.3e} el2={worst[0]:.3e} (tol={loaded.tol:g})")
+        if loaded.kind == "directional":
+            worst.append(max_abs(directional_el_residual))
+            print(f"directional residual: {worst[1]:.3e}")
+    ok = all(r <= loaded.tol for r in worst)  # NaN fails
     objectives = _probe_objectives(p, y, args.probe_trials, PROBE_DELTA, args.seed)
     base = next(objectives)
     if args.probe_trials == 0:

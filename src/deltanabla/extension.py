@@ -48,7 +48,7 @@ class PLExtension:
         pts = self.base.scale.points
         vals = self.base.values
         if not pts[0] <= t <= pts[-1]:  # NaN too
-            raise DomainError(f"t={t!r} outside [{pts[0]!r}, {pts[-1]!r}]")
+            raise DomainError(f"t={t!r} outside [{float(pts[0])!r}, {float(pts[-1])!r}]")
         i = int(np.searchsorted(pts, t))
         if i < pts.size and pts[i] == t:
             return float(vals[i])

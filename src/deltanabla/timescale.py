@@ -215,7 +215,7 @@ class GridFunction:
                 f"expected one function of shape ({n},) or a stack of shape (k, {n}) "
                 f"for {scale!r}, got shape {vals.shape}"
             )
-        if not np.isfinite(vals).all():
+        if np.count_nonzero(np.isfinite(vals)) != vals.size:
             raise DomainError("grid function values must be finite")
         vals.setflags(write=False)
         self.scale = scale

@@ -170,7 +170,7 @@ class Lagrangian:
                     out = self._fast(keys, t, y, v)
                 else:
                     out = _stream([self._raw(key) for key in keys], t, y, v)
-            if all(np.isfinite(a).all() for a in out):
+            if all(np.count_nonzero(np.isfinite(a)) == a.size for a in out):
                 return out
             why = "a non-finite result"
         except Exception as exc:  # whatever a raw callable raises, the naming pass raises in order
@@ -239,6 +239,10 @@ class Term:
     kind: str  # "delta" or "nabla"
 
     def __post_init__(self):
+        if not isinstance(self.lagrangian, Lagrangian):
+            raise ConfigurationError(
+                f"a term needs a Lagrangian, got {type(self.lagrangian).__name__}"
+            )
         if self.kind not in _STENCIL:
             raise ValueError(f"kind must be 'delta' or 'nabla', got {self.kind!r}")
 
@@ -390,9 +394,14 @@ def gradient(p: TermSumProblem, y: GridFunction) -> np.ndarray:
     """Gradient of the functional with respect to the interior trajectory
     values; stationarity of these is exactly constancy of both
     Euler-Lagrange forms."""
-    gaps = p.scale.gaps()
+    _check_scales(p, y)
+    ts = p.scale
+    gaps = ts.gaps()
+    slope = _slopes(ts, y.values)
     g = np.zeros(len(gaps) - 1)
-    for term, e, _, d2, d3 in _term_partials(p, y):
+    for term in p.active_terms:
+        e, s, _ = _STENCIL[term.kind]
+        d2, d3 = term.lagrangian._on_arrays(("d2", "d3"), ts.points[e], y.values[s], slope)
         # gap * d2 lands on the state point, which is interior for the gaps
         # that e picks, all but the gap that ends (delta) or starts (nabla)
         # at an endpoint; d3 enters each gap's right end and leaves its left
@@ -498,17 +507,18 @@ def solve(
             if gnorm <= gtol:
                 break
             H = np.empty((n, n))
-            probe = x.copy()  # x with one coordinate moved, restored after its column
+            h = FD_STEP * np.maximum(1.0, np.abs(x))
+            x_plus, x_minus = x + h, x - h
+            probe = x.copy()  # x with one coordinate moved, restored after its row
             try:
                 for j in range(n):
-                    h = _fd_step(x[j])
-                    probe[j] = x[j] + h
+                    probe[j] = x_plus[j]
                     g_plus = gradient(p, _assemble(p, probe))
-                    probe[j] = x[j] - h
+                    probe[j] = x_minus[j]
                     g_minus = gradient(p, _assemble(p, probe))
                     probe[j] = x[j]
-                    H[:, j] = (g_plus - g_minus) / (2.0 * h)
-                H = 0.5 * (H + H.T)
+                    H[j] = (g_plus - g_minus) / (2.0 * h[j])
+                H = 0.5 * (H.T + H)  # row j holds column j of the difference Hessian
                 step = np.linalg.solve(H, -g)
             except (np.linalg.LinAlgError, EvaluationError, FloatingPointError):
                 step = -g  # singular, or a probe left the domain
@@ -581,6 +591,15 @@ def certify(p: TermSumProblem, sol: Solution) -> Certificate:
     maximizer; anything else, or any negative weight, gives local-only, as
     does a box that leaves the Lagrangian's domain.  The check samples; it
     is evidence, not a proof.
+
+    Blocks are swept until the verdict is settled: block k of every active
+    term before block k + 1, stopping at local-only as soon as one sampled
+    eigenvalue lies below ``-CERTIFY_EIG_TOL`` and one above
+    ``CERTIFY_EIG_TOL``, since no later sample, nor a later domain error,
+    can change that verdict.  Both global verdicts sweep every block.  A
+    block of ``CERTIFY_BLOCK`` samples holds 9 scale points, so an
+    indefinite integrand stops after a few points; much larger blocks would
+    hold most of a small scale in the first block and raise peak memory.
     """
     if not sol.converged:
         return Certificate.NONE
@@ -598,7 +617,7 @@ def certify(p: TermSumProblem, sol: Solution) -> Certificate:
     block = max(1, CERTIFY_BLOCK // CERTIFY_GRID**2)
     min_eig = math.inf
     max_eig = -math.inf
-    for term, start in itertools.product(actives, range(0, len(points), block)):
+    for start, term in itertools.product(range(0, len(points), block), actives):
         t = points[start : start + block, None, None]
         try:
             a, b, c = term.lagrangian.hessian(t, ys, vs)
@@ -608,6 +627,8 @@ def certify(p: TermSumProblem, sol: Solution) -> Certificate:
         rad = np.hypot(0.5 * (a - c), b)
         min_eig = min(min_eig, float(np.min(mid - rad)))
         max_eig = max(max_eig, float(np.max(mid + rad)))
+        if min_eig < -CERTIFY_EIG_TOL and max_eig > CERTIFY_EIG_TOL:  # settled
+            return Certificate.LOCAL_ONLY
     if min_eig >= -CERTIFY_EIG_TOL:
         return Certificate.GLOBAL_MIN
     if max_eig <= CERTIFY_EIG_TOL:

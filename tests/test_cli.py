@@ -261,6 +261,23 @@ def test_cmd_solve_overflow_exit_2(tmp_path, capsys):
     assert report["residuals"] == {"el1_max": None, "el2_max": None}
 
 
+def test_cmd_check_overflow_exit_2(tmp_path, capsys):
+    # check reads the overflow above in the trajectory solve wrote as solve
+    # does: a NaN residual and exit 2, with no warning and no input error
+    data = json.loads(json.dumps(EXAMPLE))
+    data["timescale"] = {"interval": {"a": 0.0, "b": 1.0, "n": 7}}
+    data["gamma2"] = 0.0
+    data["lagrangian_delta"] = "4e307*sin(4*v) + v^2"
+    problem, out_csv = write_problem(tmp_path, data), str(tmp_path / "traj.csv")
+    assert main(["solve", problem, "--out", out_csv]) == 2
+    capsys.readouterr()
+    code = main(["check", problem, out_csv])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert out.splitlines()[0] == "residuals: el1=nan el2=nan (tol=1e-10)"
+    assert out.splitlines()[-1] == "NOT stationary within tolerance"
+
+
 def test_csv_and_report_deterministic(tmp_path):
     problem = write_problem(tmp_path, EXAMPLE)
     a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -61,6 +61,13 @@ def test_extension_outside_domain_errors():
         epigraph_contains(TENT, (float("nan"), 0.0))
 
 
+def test_extension_range_error_names_plain_floats():
+    # the bounds read the same under every numpy, never np.float64(...)
+    fbar = extend(GridFunction(TimeScale([0, 1, 2, 3]), [0, 1, 4, 9]))
+    with pytest.raises(DomainError, match=r"^t=5\.0 outside \[0\.0, 3\.0\]$"):
+        fbar(5.0)
+
+
 def test_extension_linearity():
     rng = np.random.default_rng(1)
     for _ in range(20):

@@ -438,6 +438,14 @@ def test_problems_reject_non_finite_numbers(bad):
             build()
 
 
+def test_term_rejects_a_lagrangian_that_is_not_one():
+    # an expression string is named here, not as an AttributeError in solve
+    with pytest.raises(ConfigurationError, match="^a term needs a Lagrangian, got str$"):
+        DeltaNablaProblem(T134, 1.0, 1.0, "v^2", "v^2", 0.0, 1.0)
+    with pytest.raises(ConfigurationError, match="got function$"):
+        Term(1.0, lambda t, y, v: v * v, "delta")
+
+
 # ---------------------------------------------------------------------------
 # objective
 # ---------------------------------------------------------------------------
@@ -903,6 +911,110 @@ def test_certify_unconverged_none():
     sol = solve(example_problem(1.0, 1.0))
     sol.converged = False
     assert certify(example_problem(1.0, 1.0), sol) is Certificate.NONE
+
+
+def full_sweep_certificate(p: TermSumProblem, y: GridFunction) -> Certificate:
+    """The sampled certificate from every sample at once: the 2x2 Hessian of
+    each active term at every scale point and every point of the
+    CERTIFY_GRID x CERTIFY_GRID box, its eigenvalues by ``eigvalsh``, with
+    no blocks and no early exit."""
+    if any(term.weight < 0.0 for term in p.active_terms):
+        return Certificate.LOCAL_ONLY
+    points = p.scale.points
+
+    def axis(x):
+        lo, hi = np.min(x), np.max(x)
+        half = 0.5 * (hi - lo) * (1.0 + variational.CERTIFY_INFLATE) or 1.0
+        return np.linspace(0.5 * (lo + hi) - half, 0.5 * (lo + hi) + half, variational.CERTIFY_GRID)
+
+    ys = axis(y.values)[:, None]
+    vs = axis(np.diff(y.values) / np.diff(points))[None, :]
+    eigs = []
+    for term in p.active_terms:
+        try:
+            a, b, c = term.lagrangian.hessian(points[:, None, None], ys, vs)
+        except EvaluationError:
+            return Certificate.LOCAL_ONLY
+        H = np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
+        eigs.append(np.linalg.eigvalsh(H).ravel())
+    eigs = np.concatenate(eigs)
+    if eigs.min() >= -variational.CERTIFY_EIG_TOL:
+        return Certificate.GLOBAL_MIN
+    if eigs.max() <= variational.CERTIFY_EIG_TOL:
+        return Certificate.GLOBAL_MAX
+    return Certificate.LOCAL_ONLY
+
+
+CERTIFY_FIXED = ("t*v^2 + y^2", "v^2 - 30*y^2", "-(v^2) - y^2", "exp(y)*v^2/2 + sin(t)*y",
+                 "v^2 + (y - 1.3)^1.5", "v^2 + (y + 0.5 - t)^1.5")
+
+
+def test_certify_equals_a_full_sweep():
+    # random and fixed integrands, delta-nabla and directional, at random
+    # trajectories; the box's lower edge, at y <= 1.25, leaves the domain
+    # of (y - 1.3)^1.5 at every t and that of (y + 0.5 - t)^1.5 for t >= 1.75,
+    # in a later block, and a negative weight caps the verdict
+    rng = np.random.default_rng(16)
+    seen = Counter()
+    for k in range(48):
+        n = (21, 161)[k % 2]
+        # a directional Hessian streams scalar partials: two cases at n = 161
+        directional = k % 4 == 2 if n == 21 else k in (3, 27)
+        ts = TimeScale.sampled_interval(1.0, 2.0, n)
+        srcs = [ex.to_source(random_expression(rng)) if rng.uniform() < 0.6
+                else str(rng.choice(CERTIFY_FIXED)) for _ in range(2)]
+        L_delta, L_nabla = (Lagrangian.from_expression(src) for src in srcs)
+        if not directional:
+            weights = [float(w) for w in rng.choice([1.0, 0.5, 0.0, -1.0], 2, p=[0.4, 0.3, 0.2, 0.1])]
+            if weights == [0.0, 0.0]:
+                weights[0] = 1.0
+            p = DeltaNablaProblem(ts, *weights, L_delta, L_nabla, 1.5, 2.5)
+        else:
+            p = DirectionalProblem(ts, float(rng.choice([0.5, -0.5, 2.0, -2.0])), L_delta, 1.5, 2.5)
+        y = GridFunction(ts, np.linspace(1.5, 2.5, n) + np.pad(0.2 * rng.uniform(-1, 1, n - 2), 1))
+        sol = Solution(y, 0.0, 0.0, 0.0, Certificate.NONE, 0, True)
+        expected = full_sweep_certificate(p, y)
+        assert certify(p, sol) is expected, (k, srcs)
+        seen[expected] += 1
+    assert seen.keys() == {Certificate.GLOBAL_MIN, Certificate.GLOBAL_MAX, Certificate.LOCAL_ONLY}
+
+
+def hessian_samples(monkeypatch) -> list[int]:
+    """The sample count of every ``Lagrangian.hessian`` call from now on."""
+    samples = []
+    hessian = Lagrangian.hessian
+
+    def counted(self, t, y, v):
+        samples.append(np.broadcast(t, y, v).size)
+        return hessian(self, t, y, v)
+
+    monkeypatch.setattr(Lagrangian, "hessian", counted)
+    return samples
+
+
+@pytest.mark.parametrize("n", [21, 161])
+def test_certify_stops_once_local_only_is_settled(monkeypatch, n):
+    # the nabla term is indefinite in every block, so block 0 of each term
+    # settles local-only: the convex delta term sweeps no further block
+    ts = TimeScale.sampled_interval(1.0, 2.0, n)
+    L_convex, L_saddle = (Lagrangian.from_expression(src) for src in ("t*v^2 + y^2", "v^2 - y^2"))
+    p = DeltaNablaProblem(ts, 1.0, 1.0, L_convex, L_saddle, 0.0, 1.0)
+    sol = solve(p)
+    assert sol.converged and sol.certificate is Certificate.LOCAL_ONLY
+    samples = hessian_samples(monkeypatch)
+    assert certify(p, sol) is Certificate.LOCAL_ONLY
+    block = variational.CERTIFY_BLOCK // variational.CERTIFY_GRID**2 * variational.CERTIFY_GRID**2
+    assert samples == [block, block]
+
+
+def test_certify_sweeps_every_block_for_a_global_verdict(monkeypatch):
+    ts = TimeScale.sampled_interval(1.0, 2.0, 41)
+    L = Lagrangian.from_expression("t*v^2 + y^2")
+    p = DeltaNablaProblem(ts, 1.0, 1.0, L, L, 0.0, 1.0)
+    sol = solve(p)
+    samples = hessian_samples(monkeypatch)
+    assert certify(p, sol) is Certificate.GLOBAL_MIN
+    assert sum(samples) == 2 * 41 * variational.CERTIFY_GRID**2
 
 
 # ---------------------------------------------------------------------------
