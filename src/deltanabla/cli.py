@@ -5,7 +5,7 @@
     deltanabla check PROBLEM.json TRAJECTORY.csv [--probe-trials N] [--seed N]
 
 Exit codes: 0 success, 1 input or validation error, 2 numerical failure
-(non-convergence, identity failure, or residuals above tolerance).
+(non-convergence, identity failure, or a trajectory that is not stationary).
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from .variational import (
     PROBE_DELTA,
     PROBE_SLACK,
     Solution,
+    _max_abs_residual,
     _nan_outside_domain,
     _probe_objectives,
+    _verdict,
     el_residual_2,
     solve,
 )
@@ -52,11 +54,8 @@ def _write_trajectory_csv(path: str, loaded: LoadedProblem, sol: Solution) -> No
     ts = sol.y.scale
     n = len(ts)
     slopes = delta_derivative(sol.y).values  # y^Delta(t_i) = y^nabla(t_{i+1})
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            r = el_residual_2(loaded.problem, sol.y).values  # the first form holds the same values
-    except (EvaluationError, FloatingPointError):  # it leaves the domain, or overflows
-        r = np.full(n - 1, np.nan)
+    # the first form holds the same values; NaN where they leave the domain
+    r = np.broadcast_to(_nan_outside_domain(lambda: el_residual_2(loaded.problem, sol.y).values), n - 1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "y", "y_delta", "y_nabla", "residual_el1", "residual_el2"])
@@ -181,9 +180,9 @@ def _read_trajectory_csv(path: str, loaded: LoadedProblem) -> GridFunction:
     y = GridFunction(ts, [v for _, v in rows])
     p = loaded.problem
     if abs(y.values[0] - p.alpha) > 1e-12 * max(1.0, abs(p.alpha)):
-        raise ProblemFileError("trajectory", f"y(a)={y.values[0]!r} does not match boundary alpha={p.alpha!r}")
+        raise ProblemFileError("trajectory", f"y(a)={float(y.values[0])!r} does not match boundary alpha={p.alpha!r}")
     if abs(y.values[-1] - p.beta) > 1e-12 * max(1.0, abs(p.beta)):
-        raise ProblemFileError("trajectory", f"y(b)={y.values[-1]!r} does not match boundary beta={p.beta!r}")
+        raise ProblemFileError("trajectory", f"y(b)={float(y.values[-1])!r} does not match boundary beta={p.beta!r}")
     return y
 
 
@@ -197,32 +196,29 @@ def cmd_check(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     y = _read_trajectory_csv(args.trajectory, loaded)
     p = loaded.problem
-
-    def max_abs(residual) -> float:
-        return _nan_outside_domain(lambda: float(np.max(np.abs(residual(p, y).values))))
-
-    # as in solve: leaving the domain, or an overflow, gives NaN
-    with np.errstate(all="raise", under="ignore"):
-        worst = [max_abs(el_residual_2)]  # equals the first form's
-        print(f"residuals: el1={worst[0]:.3e} el2={worst[0]:.3e} (tol={loaded.tol:g})")
-        if loaded.kind == "directional":
-            worst.append(max_abs(directional_el_residual))
-            print(f"directional residual: {worst[1]:.3e}")
-    ok = all(r <= loaded.tol for r in worst)  # NaN fails
-    objectives = _probe_objectives(p, y, args.probe_trials, PROBE_DELTA, args.seed)
-    base = next(objectives)
-    if args.probe_trials == 0:
-        print("warning: --probe-trials 0 checks nothing; vacuous pass")
-    # one pass for both verdicts: a trial is evaluated while either is open
-    is_min = is_max = True
-    for trial in objectives:
-        is_min = is_min and not trial < base - PROBE_SLACK
-        is_max = is_max and not trial > base + PROBE_SLACK
-        if not (is_min or is_max):
-            break
-    kind = "maximum" if is_max and not is_min else "minimum"
-    verdict = "pass" if is_min or is_max else "FAIL"
-    print(f"local-{kind} probe ({args.probe_trials} trials): {verdict}")
+    value, r, ok = _verdict(p, y, loaded.tol)  # solve's converged
+    print(f"residuals: el1={r:.3e} el2={r:.3e} (tol={loaded.tol:g})")
+    if loaded.kind == "directional":
+        worst = _max_abs_residual(directional_el_residual, p, y)
+        print(f"directional residual: {worst:.3e}")
+        ok = ok and worst <= loaded.tol  # NaN fails
+    if math.isnan(value):
+        print("objective=nan: no probe")
+    else:
+        objectives = _probe_objectives(p, y, args.probe_trials, PROBE_DELTA, args.seed)
+        base = next(objectives)
+        if args.probe_trials == 0:
+            print("warning: --probe-trials 0 checks nothing; vacuous pass")
+        # one pass for both verdicts: a trial is evaluated while either is open
+        is_min = is_max = True
+        for trial in objectives:
+            is_min = is_min and not trial < base - PROBE_SLACK
+            is_max = is_max and not trial > base + PROBE_SLACK
+            if not (is_min or is_max):
+                break
+        kind = "maximum" if is_max and not is_min else "minimum"
+        verdict = "pass" if is_min or is_max else "FAIL"
+        print(f"local-{kind} probe ({args.probe_trials} trials): {verdict}")
     print("stationary within tolerance" if ok else "NOT stationary within tolerance")
     return EXIT_OK if ok else EXIT_NUMERICAL
 
@@ -259,10 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ProblemFileError, DomainError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (ProblemFileError, DomainError, EvaluationError, FloatingPointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

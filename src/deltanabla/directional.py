@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .extension import _finite_direction
 from .timescale import (
     _STENCIL,
@@ -37,7 +37,7 @@ from .variational import (
     Term,
     TermSumProblem,
     _check_scales,
-    _nan_outside_domain,
+    _max_abs_residual,
     _stream,
     solve,
 )
@@ -81,6 +81,8 @@ def reduced_lagrangian(L: Lagrangian, u: float) -> Lagrangian:
     gives the bits of the scalar closures below; on a fault the closures
     name it, sample by sample.
     """
+    if not isinstance(L, Lagrangian):
+        raise ConfigurationError(f"a directional problem needs a Lagrangian, got {type(L).__name__}")
     uu = u * u
     reduced = Lagrangian(
         lambda t, s, w: u * L(t, u * s, u * w),
@@ -163,21 +165,15 @@ def solve_directional(
 
     Like ``solve``, it reports a trajectory outside the Lagrangian's domain,
     or one where the residual overflows, and does not raise: the
-    directional residuals are then NaN.
+    directional residuals are then NaN, by ``solve``'s domain rule.
     """
     sol = solve(p, tol=tol, max_iter=max_iter, init=init)
-
-    def max_abs(strict: bool) -> float:
-        return float(np.max(np.abs(directional_el_residual(p, sol.y, strict).values)))
-
-    with np.errstate(all="raise", under="ignore"):  # an overflow gives NaN, like leaving the domain
-        try:
-            strict_max = _nan_outside_domain(lambda: max_abs(True))
-        except DomainError:
-            strict_max = None
-        wide_max = _nan_outside_domain(lambda: max_abs(False))
+    try:
+        strict_max = _max_abs_residual(directional_el_residual, p, sol.y, True)
+    except DomainError:  # the strict intersection is empty
+        strict_max = None
     return DirectionalSolution(
         **vars(sol),
-        residual_directional=wide_max,
+        residual_directional=_max_abs_residual(directional_el_residual, p, sol.y),
         residual_directional_strict=strict_max,
     )

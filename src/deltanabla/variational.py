@@ -430,8 +430,8 @@ class Solution:
 
     ``residual_el1`` and ``residual_el2`` are the max-abs of the two
     mean-subtracted Euler-Lagrange forms, which hold the same values and so
-    are equal; ``converged`` is true exactly when they are within the solve
-    tolerance.
+    are equal; ``converged`` is ``_verdict``'s: they are within the solve
+    tolerance and the objective is finite.
     """
 
     y: GridFunction
@@ -456,13 +456,33 @@ def _assemble(p: TermSumProblem, interior: np.ndarray) -> GridFunction:
     return GridFunction(p.scale, vals)
 
 
-def _nan_outside_domain(f: Callable[[], float]) -> float:
-    """f(), or NaN when it leaves the Lagrangian's domain or, under a
-    raising ``np.errstate``, overflows."""
+def _in_domain(f: Callable, *args):
+    """f(*args) under the domain rule of ``Lagrangian._on_arrays``: an overflow
+    or an invalid operation raises ``FloatingPointError``, underflow passes."""
+    with np.errstate(all="raise", under="ignore"):
+        return f(*args)
+
+
+def _nan_outside_domain(f: Callable, *args):
+    """f(*args), or NaN where it leaves the domain under ``_in_domain``."""
     try:
-        return f()
+        return _in_domain(f, *args)
     except (EvaluationError, FloatingPointError):
         return math.nan
+
+
+def _max_abs_residual(form: Callable[..., GridFunction], p, y: GridFunction, *args) -> float:
+    """The max-abs of the residual form(p, y, *args), NaN where it leaves the domain."""
+    return _nan_outside_domain(lambda: float(np.max(np.abs(form(p, y, *args).values))))
+
+
+def _verdict(p: TermSumProblem, y: GridFunction, tol: float) -> tuple[float, float, bool]:
+    """(objective, residual, stationary) at y, the test behind ``solve``'s ``converged``
+    and ``check``'s verdict: the Euler-Lagrange form (both forms hold the same values)
+    is within tol and the objective is finite, either NaN where it leaves the domain."""
+    r = _max_abs_residual(el_residual_2, p, y)
+    value = _nan_outside_domain(objective, p, y)
+    return value, r, r <= tol and not math.isnan(value)
 
 
 def solve(
@@ -540,11 +560,8 @@ def solve(
             if not accepted:
                 break
 
-        y = _assemble(p, x)
-        # the second form's residual equals the first form's
-        r = _nan_outside_domain(lambda: float(np.max(np.abs(el_residual_2(p, y).values))))
-        value = _nan_outside_domain(lambda: objective(p, y))
-    converged = r <= tol and not math.isnan(value)
+    y = _assemble(p, x)
+    value, r, converged = _verdict(p, y, tol)
     sol = Solution(
         y=y,
         objective=value,
@@ -629,11 +646,8 @@ def certify(p: TermSumProblem, sol: Solution) -> Certificate:
         max_eig = max(max_eig, float(np.max(mid + rad)))
         if min_eig < -CERTIFY_EIG_TOL and max_eig > CERTIFY_EIG_TOL:  # settled
             return Certificate.LOCAL_ONLY
-    if min_eig >= -CERTIFY_EIG_TOL:
-        return Certificate.GLOBAL_MIN
-    if max_eig <= CERTIFY_EIG_TOL:
-        return Certificate.GLOBAL_MAX
-    return Certificate.LOCAL_ONLY
+    # unsettled after every block: min_eig >= -CERTIFY_EIG_TOL or max_eig <= CERTIFY_EIG_TOL
+    return Certificate.GLOBAL_MIN if min_eig >= -CERTIFY_EIG_TOL else Certificate.GLOBAL_MAX
 
 
 # ---------------------------------------------------------------------------
@@ -672,15 +686,15 @@ def _probe_objectives(
 ) -> Iterator[float]:
     """The objective at y, then at each of n_trials variations of y that
     vanish at both endpoints, scaled into the delta-ball of the trajectory
-    norm.  A trial draws its interior values (skipped when all are zero)
-    and then its step factor.  Stacks of up to ``CERTIFY_BLOCK //
-    len(p.scale)`` trials are evaluated at once; a stack that fails is
-    evaluated again lazily, one trial at a time, so each trial's error is
-    raised when the caller reaches it, as if it were evaluated alone."""
+    norm, each under ``_in_domain``.  A trial draws its interior values
+    (skipped when all are zero) and then its step factor.  Stacks of up to
+    ``CERTIFY_BLOCK // len(p.scale)`` trials are evaluated at once; a stack
+    that fails is evaluated again lazily, one trial at a time, so each
+    trial's error is raised when the caller reaches it, as if alone."""
     if n_trials < 0:
         raise DomainError(f"n_trials must be nonnegative, got {n_trials}")
     rng = np.random.default_rng(seed)
-    yield objective(p, y)
+    yield _in_domain(objective, p, y)
     ts = p.scale
     n = len(ts)
     block = max(1, CERTIFY_BLOCK // n)
@@ -695,11 +709,11 @@ def _probe_objectives(
         eps = np.array(factors) * delta / (2.0 * _norms(ts, etas))
         ys = y.values + eps[:, None] * etas
         try:  # a trajectory that is not finite fails in GridFunction below, as on its own
-            trials = _objectives(p, ys) if np.isfinite(ys).all() else None
-        except EvaluationError:
+            trials = _in_domain(_objectives, p, ys) if np.isfinite(ys).all() else None
+        except (EvaluationError, FloatingPointError):
             trials = None
         if trials is None:
-            trials = (objective(p, GridFunction(ts, row)) for row in ys)
+            trials = (_in_domain(objective, p, GridFunction(ts, row)) for row in ys)
         yield from trials
 
 

@@ -21,6 +21,7 @@ from deltanabla import (
     el_residual_2,
     load_problem_dict,
     local_min_probe,
+    objective,
     random_scale,
     solve,
     variational,
@@ -278,6 +279,64 @@ def test_cmd_check_overflow_exit_2(tmp_path, capsys):
     assert out.splitlines()[-1] == "NOT stationary within tolerance"
 
 
+LOG_DIRECTIONAL = {
+    "kind": "directional",
+    "timescale": {"interval": {"a": 0.0, "b": 1.0, "n": 9}},
+    "u": -0.5,
+    "lagrangian": "v^2 + log(y)",
+    "boundary": {"alpha": 1.0, "beta": 2.0},
+}
+OVERFLOW_OBJECTIVE = {
+    "kind": "delta-nabla",
+    "timescale": {"points": [0, 2, 4]},
+    "gamma1": 1.0,
+    "gamma2": 0.0,
+    "lagrangian_delta": "1e308 + v^2",
+    "lagrangian_nabla": "v^2",
+    "boundary": {"alpha": 0.0, "beta": 0.0},
+}
+
+
+@pytest.mark.parametrize(
+    "data, residual_lines",
+    [
+        # with u < 0 the inner log(y) leaves its domain at the scaled state
+        (LOG_DIRECTIONAL, ["residuals: el1=4.492e-14 el2=4.492e-14 (tol=1e-10)",
+                           "directional residual: 3.446e-13"]),
+        # each gap's 2 * 1e308 overflows; the residuals are exact zeros
+        (OVERFLOW_OBJECTIVE, ["residuals: el1=0.000e+00 el2=0.000e+00 (tol=1e-10)"]),
+    ],
+    ids=["log", "overflow"],
+)
+def test_cmd_check_objective_outside_the_domain_exit_2(tmp_path, capsys, data, residual_lines):
+    # solve and check share one verdict: the objective at the trajectory
+    # solve wrote is NaN, so neither calls it stationary, and check runs no
+    # probe; no input error, no warning
+    problem, out_csv = write_problem(tmp_path, data), str(tmp_path / "traj.csv")
+    assert main(["solve", problem, "--out", out_csv]) == 2
+    assert capsys.readouterr().out.startswith("NOT converged: objective=nan")
+    for n_trials in ["200", "0"]:
+        assert main(["check", problem, out_csv, "--probe-trials", n_trials]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == residual_lines + [
+            "objective=nan: no probe", "NOT stationary within tolerance"
+        ]
+
+
+def test_cmd_check_trial_overflow_is_an_input_error(tmp_path, capsys):
+    # the objective at y = 0 is 0; at any trial L is near 1e308 on each gap
+    # and the sum overflows, reported like a trial that leaves the domain
+    data = dict(OVERFLOW_OBJECTIVE, lagrangian_delta="1e308*y^2/(1e-20 + y^2) + v^2")
+    data["timescale"] = {"points": [0, 1, 2, 3]}
+    problem = write_problem(tmp_path, data)
+    traj = write_trajectory(tmp_path, [0, 1, 2, 3], [0.0, 0.0, 0.0, 0.0])
+    assert main(["check", problem, traj]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert out.splitlines() == ["residuals: el1=0.000e+00 el2=0.000e+00 (tol=1e-10)"]
+
+
 def test_csv_and_report_deterministic(tmp_path):
     problem = write_problem(tmp_path, EXAMPLE)
     a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -310,6 +369,13 @@ def test_cmd_identities_seed_reproducible(capsys):
     assert main(["identities", "--trials", "25", "--seed", "7"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cmd_identities_negative_trials_is_an_input_error(capsys):
+    assert main(["identities", "--trials", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --trials must be nonnegative\n"
+    assert captured.out == ""
 
 
 def test_cmd_identities_negative_seed_is_an_input_error(capsys):
@@ -366,6 +432,29 @@ def test_cmd_check_boundary_mismatch(tmp_path, capsys):
     traj = write_trajectory(tmp_path, [1, 3, 4], [0.5, 0.7, 1.0])
     assert main(["check", problem, traj]) == 1
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("time,y\n1,0\n3,0.7\n4,1\n", "CSV needs 't' and 'y' columns"),
+        ("t,value\n1,0\n3,0.7\n4,1\n", "CSV needs 't' and 'y' columns"),
+        ("", "CSV needs 't' and 'y' columns"),
+        ("t,y\n1,0\n3.5,0.7\n4,1\n", "point 3.5 not on the problem scale"),
+        ("t,y\n0.5,0\n3,0.7\n4,1\n", "point 0.5 not on the problem scale"),
+        ("t,y\n1,0.25\n3,0.7\n4,1\n", "y(a)=0.25 does not match boundary alpha=0.0"),
+        ("t,y\n1,0\n3,0.7\n4,0.5\n", "y(b)=0.5 does not match boundary beta=1.0"),
+    ],
+    ids=["no-t", "no-y", "empty", "off-scale", "off-scale-a", "alpha", "beta"],
+)
+def test_cmd_check_names_a_bad_trajectory(tmp_path, capsys, text, message):
+    problem = write_problem(tmp_path, EXAMPLE)
+    traj = tmp_path / "traj.csv"
+    traj.write_text(text)
+    assert main(["check", problem, str(traj)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: trajectory: {message}\n"
+    assert captured.out == ""
 
 
 def test_solve_then_check_round_trip(tmp_path):
@@ -445,7 +534,13 @@ def test_cmd_check_names_the_row_of_a_bad_field(tmp_path, capsys, row, message):
 def two_probe_line(p, y, n_trials, seed):
     """The probe line check prints, or its error line, as the local-minimum
     probe of p followed by the local-minimum probe of p with every weight
-    negated, whose local minimizers are p's local maximizers."""
+    negated, whose local minimizers are p's local maximizers.  An objective
+    at y that leaves the domain or overflows gives no probe."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            objective(p, y)
+    except (EvaluationError, FloatingPointError):
+        return "objective=nan: no probe"
     sol = Solution(y, 0.0, 0.0, 0.0, Certificate.NONE, 0, True)
     terms = [Term(-term.weight, term.lagrangian, term.kind) for term in p.terms]
     negated = TermSumProblem(p.scale, terms, p.alpha, p.beta)
@@ -467,7 +562,9 @@ def check_line(tmp_path, capsys, data, y, n_trials, seed):
     out, err = capsys.readouterr()
     if rc == 1:
         return err.rstrip("\n")
-    (line,) = [line for line in out.splitlines() if " probe (" in line]
+    (line,) = [line for line in out.splitlines() if " probe (" in line or line.endswith("no probe")]
+    if line.endswith("no probe"):  # and the verdict is not stationary
+        assert (rc, out.splitlines()[-1]) == (2, "NOT stationary within tolerance")
     return line
 
 
@@ -523,7 +620,9 @@ def _check_cases(seed: int, count: int):
 
 
 def _kind(line: str) -> str:
-    return "error" if line.startswith("error") else line.split(" probe")[0] + line.split(":")[-1]
+    if line.startswith(("error", "objective=nan")):
+        return line.split(":")[0]
+    return line.split(" probe")[0] + line.split(":")[-1]
 
 
 def test_check_verdict_equals_two_separate_probes(tmp_path, capsys, monkeypatch):
@@ -535,7 +634,9 @@ def test_check_verdict_equals_two_separate_probes(tmp_path, capsys, monkeypatch)
         expected = two_probe_line(load_problem_dict(data).problem, y, n_trials, seed)
         assert check_line(tmp_path, capsys, data, y, n_trials, seed) == expected, (k, data)
         seen[_kind(expected)] += 1
-    assert set(seen) == {"local-minimum pass", "local-maximum pass", "local-minimum FAIL", "error"}
+    assert set(seen) == {
+        "local-minimum pass", "local-maximum pass", "local-minimum FAIL", "error", "objective=nan"
+    }
 
 
 EDGE = {

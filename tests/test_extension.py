@@ -131,6 +131,11 @@ def test_zero_direction_and_domain():
         directional_derivative(TENT, 4.0, -1.0)
 
 
+def test_unknown_method_is_named():
+    with pytest.raises(ValueError, match="^method must be 'closed' or 'quotient', got 'bogus'$"):
+        directional_derivative(TENT, 3.0, 1.0, method="bogus")
+
+
 def test_hand_value_scaled_direction():
     # tent on {1,3,4}: slope right of 3 is -1, so direction u=2 gives -2
     assert directional_derivative(TENT, 3.0, 2.0) == -2.0
@@ -209,6 +214,13 @@ def test_convexity_simple_cases():
     sq = GridFunction.sample(TimeScale([0.0, 1.0, 2.0, 3.0]), lambda t: t * t)
     assert is_convex(sq)
     assert not is_convex(TENT)
+
+
+def test_convexity_on_the_smallest_scales():
+    # one point has no segment; two points have one, which is convex
+    with pytest.raises(DomainError, match="at least two points"):
+        is_convex(GridFunction(TimeScale([1.0]), [2.0]))
+    assert is_convex(GridFunction(TimeScale([1.0, 3.0]), [2.0, -5.0]))
 
 
 def _midpoint_convex(f, rng, n_random=60):

@@ -558,6 +558,11 @@ def test_probe_needs_interior():
         variation_constraint_matrix(two, "nabla")
 
 
+def test_constraint_matrix_names_an_unknown_kind():
+    with pytest.raises(ValueError, match="^kind must be 'delta' or 'nabla', got 'foo'$"):
+        variation_constraint_matrix(TimeScale([0.0, 1.0, 2.0]), "foo")
+
+
 def _dr_scales():
     rng = np.random.default_rng(31)
     scales = [TimeScale([1.0, 3.0, 4.0]), TimeScale.sampled_interval(1, 2, 161)]

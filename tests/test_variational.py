@@ -446,6 +446,19 @@ def test_term_rejects_a_lagrangian_that_is_not_one():
         Term(1.0, lambda t, y, v: v * v, "delta")
 
 
+def test_term_names_an_unknown_kind():
+    with pytest.raises(ValueError, match="^kind must be 'delta' or 'nabla', got 'foo'$"):
+        Term(1.0, L_TV2, "foo")
+
+
+def test_directional_problem_rejects_a_lagrangian_that_is_not_one():
+    # named like Term's, not as an AttributeError from the reduced integrand
+    with pytest.raises(ConfigurationError, match="^a directional problem needs a Lagrangian, got str$"):
+        DirectionalProblem(T134, 1.0, "v^2", 0.0, 1.0)
+    with pytest.raises(ConfigurationError, match="got function$"):
+        reduced_lagrangian(lambda t, y, v: v * v, -0.5)
+
+
 # ---------------------------------------------------------------------------
 # objective
 # ---------------------------------------------------------------------------
@@ -905,6 +918,18 @@ def test_certify_box_leaving_the_domain_local_only():
     sol = solve(p)
     assert sol.converged
     assert certify(p, sol) is Certificate.LOCAL_ONLY
+
+
+def test_certify_constant_trajectory_global_min():
+    # y = 1 and y^Delta = 0 everywhere: both sample boxes are degenerate and
+    # span 1 to either side of the value
+    L = Lagrangian.from_expression("v^2")
+    p = DeltaNablaProblem(TimeScale.sampled_interval(0, 1, 5), 1.0, 1.0, L, L, 1.0, 1.0)
+    sol = solve(p)
+    assert sol.converged
+    assert np.array_equal(sol.y.values, np.ones(5))
+    assert variational._sample_box(sol.y.values) == (0.0, 2.0)
+    assert certify(p, sol) is Certificate.GLOBAL_MIN
 
 
 def test_certify_unconverged_none():
