@@ -196,7 +196,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     y = _read_trajectory_csv(args.trajectory, loaded)
     p = loaded.problem
-    value, r, ok = _verdict(p, y, loaded.tol)  # solve's converged
+    value, r, ok = _verdict(p, y, loaded.tol)  # solve's converged; value is the probe's base
     print(f"residuals: el1={r:.3e} el2={r:.3e} (tol={loaded.tol:g})")
     if loaded.kind == "directional":
         worst = _max_abs_residual(directional_el_residual, p, y)
@@ -205,15 +205,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     if math.isnan(value):
         print("objective=nan: no probe")
     else:
-        objectives = _probe_objectives(p, y, args.probe_trials, PROBE_DELTA, args.seed)
-        base = next(objectives)
         if args.probe_trials == 0:
             print("warning: --probe-trials 0 checks nothing; vacuous pass")
         # one pass for both verdicts: a trial is evaluated while either is open
         is_min = is_max = True
-        for trial in objectives:
-            is_min = is_min and not trial < base - PROBE_SLACK
-            is_max = is_max and not trial > base + PROBE_SLACK
+        for trial in _probe_objectives(p, y, args.probe_trials, PROBE_DELTA, args.seed):
+            is_min = is_min and not trial < value - PROBE_SLACK
+            is_max = is_max and not trial > value + PROBE_SLACK
             if not (is_min or is_max):
                 break
         kind = "maximum" if is_max and not is_min else "minimum"

@@ -193,9 +193,10 @@ class Lagrangian:
 
     def hessian(self, t, y, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Second partials (yy, yv, vv) at every sample of the broadcast
-        arrays t, y and v: exact for a parsed expression; for any other
-        Lagrangian one central difference of the stacked partials in y and
-        one in v, the mixed partial symmetrized."""
+        arrays t, y and v: exact for a parsed expression; u^3 times the
+        inner L's at (t, u*y, u*v) for ``directional.reduced_lagrangian(L,
+        u)``; for any other Lagrangian one central difference of the
+        stacked partials in y and one in v, the mixed partial symmetrized."""
         if self._trees is not None:
             return self._on_arrays(HESSIAN, t, y, v)
         y, v = np.asarray(y, float), np.asarray(v, float)
@@ -602,7 +603,10 @@ def certify(p: TermSumProblem, sol: Solution) -> Certificate:
     Samples the (y, v) Hessian of every active integrand over a box around
     the trajectory (range inflated by ``CERTIFY_INFLATE``) at every scale
     point, ``Lagrangian.hessian`` taking one block of scale points with
-    their ``CERTIFY_GRID`` x ``CERTIFY_GRID`` samples at a time.
+    their ``CERTIFY_GRID`` x ``CERTIFY_GRID`` samples at a time.  Those
+    Hessians are exact for an expression, and for a directional problem's
+    reduced integrand u^3 times its inner L's, so an integrand linear in
+    y and v reads exactly 0, not difference noise.
     All Hessians positive semidefinite with nonnegative weights certifies a
     global minimizer; the negative-semidefinite analogue a global
     maximizer; anything else, or any negative weight, gives local-only, as
@@ -684,17 +688,15 @@ PROBE_SLACK = 1e-12  # a trial within this of the objective at y passes
 def _probe_objectives(
     p: TermSumProblem, y: GridFunction, n_trials: int, delta: float, seed: int
 ) -> Iterator[float]:
-    """The objective at y, then at each of n_trials variations of y that
-    vanish at both endpoints, scaled into the delta-ball of the trajectory
-    norm, each under ``_in_domain``.  A trial draws its interior values
-    (skipped when all are zero) and then its step factor.  Stacks of up to
-    ``CERTIFY_BLOCK // len(p.scale)`` trials are evaluated at once; a stack
-    that fails is evaluated again lazily, one trial at a time, so each
-    trial's error is raised when the caller reaches it, as if alone."""
-    if n_trials < 0:
-        raise DomainError(f"n_trials must be nonnegative, got {n_trials}")
+    """The objective at each of n_trials variations of y that vanish at
+    both endpoints, scaled into the delta-ball of the trajectory norm, each
+    under ``_in_domain``; the caller holds the objective at y itself.  A
+    trial draws its interior values (skipped when all are zero) and then
+    its step factor.  Stacks of up to ``CERTIFY_BLOCK // len(p.scale)``
+    trials are evaluated at once; a stack that fails is evaluated again
+    lazily, one trial at a time, so each trial's error is raised when the
+    caller reaches it, as if alone."""
     rng = np.random.default_rng(seed)
-    yield _in_domain(objective, p, y)
     ts = p.scale
     n = len(ts)
     block = max(1, CERTIFY_BLOCK // n)
@@ -729,6 +731,7 @@ def local_min_probe(
     trial of ``_probe_objectives`` may fall below the objective at sol.y
     by more than ``slack``.  The verdict, or the error raised, is the
     first failing trial's."""
-    objectives = _probe_objectives(p, sol.y, n_trials, delta, seed)
-    base = next(objectives)
-    return not any(trial < base - slack for trial in objectives)
+    if n_trials < 0:
+        raise DomainError(f"n_trials must be nonnegative, got {n_trials}")
+    base = _in_domain(objective, p, sol.y)
+    return not any(trial < base - slack for trial in _probe_objectives(p, sol.y, n_trials, delta, seed))

@@ -153,6 +153,24 @@ def test_hessian_matches_sympy_second_derivatives():
             assert abs(h[0] - ref) <= 1e-12 * max(1.0, abs(ref)), (L.text, point)
 
 
+def test_reduced_hessian_is_u_cubed_times_sympy_second_derivatives():
+    # u * L(t, u*s, u*w) has second partials u^3 times L's at (t, u*s, u*w);
+    # s = y / u and w = v / u put the inner L at its well-behaved sample
+    sp = pytest.importorskip("sympy")
+    names = dict(zip("tyv", sp.symbols("t y v")))
+    _, y, v = names.values()
+    rng = np.random.default_rng(27)
+    for L, t, y0, v0 in _random_cases(seed=27, count=60):
+        u = float(rng.choice(DIRECTIONS))
+        expr = _sympy(ex.parse(L.text), sp, names)
+        subs = dict(zip(names.values(), (t, u * (y0 / u), u * (v0 / u))))
+        exact = [u**3 * float(sp.diff(expr, *wrt).evalf(30, subs=subs)) for wrt in ((y, y), (y, v), (v, v))]
+        got = reduced_lagrangian(L, u).hessian(np.array([t]), np.array([y0 / u]), np.array([v0 / u]))
+        for h, ref in zip(got, exact):
+            assert h.shape == (1,)
+            assert abs(h[0] - ref) <= 1e-12 * max(1.0, abs(ref)), (L.text, u)
+
+
 def _hessian_by_sample(C: Lagrangian, t: float, y: float, v: float) -> tuple[float, float, float]:
     """A callable Lagrangian's Hessian at one sample, written out: central
     differences of d2 and d3, the mixed partial symmetrized."""
@@ -164,8 +182,9 @@ def _hessian_by_sample(C: Lagrangian, t: float, y: float, v: float) -> tuple[flo
 def test_hessian_matches_central_differences():
     # arrays of samples on the exact path; on the callable path central
     # differences of the partials, equal bit for bit to the per-sample
-    # formula at every sample, for explicit partials, a value-only
-    # Lagrangian and the directional reduced integrands
+    # formula at every sample, for explicit partials and a value-only
+    # Lagrangian; a directional reduced integrand's is u^3 times the inner
+    # L's at the scaled arguments, bit for bit
     for L, t, y, v in _random_cases(seed=22, count=60):
         C = Lagrangian(L, L.d2, L.d3)
         y_samples, v_samples = [y, y + 0.01], [v, v - 0.01]
@@ -176,9 +195,12 @@ def test_hessian_matches_central_differences():
         for j, (h_exact, h_fd) in enumerate(zip(exact, fd)):
             assert h_exact.shape == (2, 2)
             assert np.allclose(h_fd, h_exact, rtol=1e-5, atol=1e-5), (L.text, j)
-        for M in (C, Lagrangian(L), *(reduced_lagrangian(L, u) for u in (0.5, 2.0, -0.5, -2.0))):
+        for M in (C, Lagrangian(L)):
             ref = np.array([[_hessian_by_sample(M, t, y_, v_) for v_ in v_samples] for y_ in y_samples])
             assert np.all(np.stack(M.hessian(ts, ys, vs)) == np.moveaxis(ref, -1, 0)), L.text
+        for u in (0.5, 2.0, -0.5, -2.0):
+            ref = u**3 * np.stack(L.hessian(ts, u * ys, u * vs))
+            assert np.all(np.stack(reduced_lagrangian(L, u).hessian(ts, ys, vs)) == ref), (L.text, u)
 
 
 def test_callable_hessian_makes_four_d2_and_four_d3_calls_per_sample():
@@ -201,15 +223,17 @@ def test_callable_hessian_makes_four_d2_and_four_d3_calls_per_sample():
     calls.clear()
     Lagrangian(counted("L", L)).hessian(t, y, v)  # each difference of d2 or d3 takes two values
     assert calls == {"L": 16 * samples}
-    # a reduced integrand calls the inner L's raw partials, read when it
-    # runs: slots rebound after the reduction, as a counter rebinds them,
-    # are the ones counted
+    # a reduced integrand takes the inner L's compiled second partials and
+    # calls none of its scalar functions: not even slots rebound after the
+    # reduction, as a counter rebinds them, which its partials do call
     calls.clear()
     R = reduced_lagrangian(L, -2.0)
     for slot, key in (("_fn", "L"), ("_d2", "d2"), ("_d3", "d3")):
         setattr(L, slot, counted(key, getattr(L, slot)))
     R.hessian(t, y, v)
-    assert calls == {"d2": 4 * samples, "d3": 4 * samples}
+    assert calls == {}
+    R.partials(t, y, v)
+    assert calls == {"d2": samples, "d3": samples}
 
 
 def _arrays_or_error(f, *args):
@@ -245,11 +269,30 @@ def _hessian_of_samples(M, t, y, v):
     return yy, 0.5 * (d2v + d3y), vv
 
 
+def _scaled_hessian_of_samples(R, t, y, v):
+    """A reduced integrand's Hessian written out sample by sample, in C
+    order: u^3 times the inner L's Hessian at (t, u*y, u*v), the scaling
+    and the product under the domain rules, raising the first failing
+    sample's error."""
+    L, u = R.inner, R.u
+    t, y, v = np.broadcast_arrays(*(np.asarray(a, float) for a in (t, y, v)))
+    rows = []
+    for s in zip(t.ravel().tolist(), y.ravel().tolist(), v.ravel().tolist()):
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                inner = L.hessian(np.array([s[0]]), u * np.array([s[1]]), u * np.array([s[2]]))
+                rows.append([(u**3 * h)[0] for h in inner])
+        except FloatingPointError as exc:
+            raise EvaluationError(f"u^3 * yy/yv/vv of the inner L at (t, u*s, u*w), u = {u!r}: {exc}") from None
+    return tuple(np.array(col, float).reshape(t.shape) for col in zip(*rows))
+
+
 def _same_as_by_sample(M, t, y, v):
+    hessian = _scaled_hessian_of_samples if hasattr(M, "inner") else _hessian_of_samples
     return (
         _arrays_or_error(M.values, t, y, v) == _arrays_or_error(_by_sample, (M,), t, y, v)
         and _arrays_or_error(M.partials, t, y, v) == _arrays_or_error(_by_sample, (M.d2, M.d3), t, y, v)
-        and _arrays_or_error(M.hessian, t, y, v) == _arrays_or_error(_hessian_of_samples, M, t, y, v)
+        and _arrays_or_error(M.hessian, t, y, v) == _arrays_or_error(hessian, M, t, y, v)
     )
 
 
@@ -261,8 +304,10 @@ def test_reduced_arrays_equal_the_closures_sample_by_sample(u):
     # the reduced integrand streams the inner L's scalar functions at
     # arguments scaled as arrays: the same bits, and the same first error,
     # as its closures sample by sample, where L's numpy kernels would differ
-    # in the last bit; on samples of shape (k,) around each case and, for
-    # one case in six, on certify's broadcast (b, 1, 1) x (21, 1) x (1, 21)
+    # in the last bit; its Hessian, u^3 times the inner L's, is the inner
+    # Hessian sample by sample times u^3; on samples of shape (k,) around
+    # each case and, for one case in six, on certify's broadcast
+    # (b, 1, 1) x (21, 1) x (1, 21)
     rng = np.random.default_rng(26)
     for i, (L, t, y, v) in enumerate(_random_cases(seed=26, count=60)):
         R = reduced_lagrangian(L, u)
@@ -297,6 +342,9 @@ def _inf_at_3_raise_at_5(t, y, v):
         (Lagrangian(_inf_at_3_raise_at_5, _inf_at_3_raise_at_5, _inf_at_3_raise_at_5), np.arange(8.0), 0.0),
         # and one that only returns a non-finite value
         (Lagrangian(_inf_at_3, _inf_at_3, _inf_at_3), np.arange(8.0), 0.0),
+        # u^3 * yy = 8 * (1e308 - 1) overflows at the first sample, before
+        # the inner yy = 1e308 - 1/y^2 divides by zero at the second
+        (reduced_lagrangian(Lagrangian.from_expression("5e307*y^2 + log(y)"), 2.0), [0.5, 0.0], 1.0),
     ],
 )
 def test_array_errors_are_the_first_failing_samples(M, y, v):
@@ -957,8 +1005,13 @@ def full_sweep_certificate(p: TermSumProblem, y: GridFunction) -> Certificate:
     eigs = []
     for term in p.active_terms:
         try:
-            a, b, c = term.lagrangian.hessian(points[:, None, None], ys, vs)
-        except EvaluationError:
+            if isinstance(p, DirectionalProblem):  # u^3 times the inner L's, not the code under test
+                u = p.u
+                with np.errstate(all="raise", under="ignore"):
+                    a, b, c = (u**3 * h for h in p.L.hessian(points[:, None, None], u * ys, u * vs))
+            else:
+                a, b, c = term.lagrangian.hessian(points[:, None, None], ys, vs)
+        except (EvaluationError, FloatingPointError):
             return Certificate.LOCAL_ONLY
         H = np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
         eigs.append(np.linalg.eigvalsh(H).ravel())
@@ -983,7 +1036,7 @@ def test_certify_equals_a_full_sweep():
     seen = Counter()
     for k in range(48):
         n = (21, 161)[k % 2]
-        # a directional Hessian streams scalar partials: two cases at n = 161
+        # directional: one case in four at n = 21, two at n = 161
         directional = k % 4 == 2 if n == 21 else k in (3, 27)
         ts = TimeScale.sampled_interval(1.0, 2.0, n)
         srcs = [ex.to_source(random_expression(rng)) if rng.uniform() < 0.6
@@ -1002,6 +1055,35 @@ def test_certify_equals_a_full_sweep():
         assert certify(p, sol) is expected, (k, srcs)
         seen[expected] += 1
     assert seen.keys() == {Certificate.GLOBAL_MIN, Certificate.GLOBAL_MAX, Certificate.LOCAL_ONLY}
+
+
+# linear in y and free of v: every second partial vanishes
+L_LINEAR = Lagrangian.from_expression("2.446/1.994/(0.142/y)/(t - 2.72 + sin(0.297))")
+
+
+def test_directional_certificate_of_a_linear_integrand():
+    # the exact Hessian is 0; a central difference of the reduced
+    # integrand's partials reads noise of about -2.4e-9 in yy, below
+    # -CERTIFY_EIG_TOL, where the verdict turns
+    ts = TimeScale.sampled_interval(1.0, 2.0, 21)
+    sol = Solution(GridFunction(ts, np.linspace(1.5, 2.5, 21)), 0.0, 0.0, 0.0, Certificate.NONE, 0, True)
+    one_term = TermSumProblem(ts, [Term(1.0, L_LINEAR, "delta")], 1.5, 2.5)
+    assert certify(DirectionalProblem(ts, 1.0, L_LINEAR, 1.5, 2.5), sol) is certify(one_term, sol)
+    for u in DIRECTIONS:
+        assert certify(DirectionalProblem(ts, u, L_LINEAR, 1.5, 2.5), sol) is Certificate.GLOBAL_MIN, u
+
+
+def test_directional_certificate_of_an_overflowing_hessian_is_local_only():
+    # the inner yy = 1e308 is finite; u^3 * yy = 8e308 overflows, which
+    # leaves the domain: local-only, with no warning
+    ts = TimeScale.sampled_interval(1.0, 2.0, 21)
+    p = DirectionalProblem(ts, 2.0, Lagrangian.from_expression("5e307*y^2 + v^2"), 0.0, 0.1)
+    sol = Solution(GridFunction(ts, np.linspace(0.0, 0.1, 21)), 0.0, 0.0, 0.0, Certificate.NONE, 0, True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certify(p, sol) is Certificate.LOCAL_ONLY
+    with pytest.raises(EvaluationError, match=r"u\^3 \* yy/yv/vv .* u = 2\.0: overflow"):
+        p.terms[0].lagrangian.hessian(ts.points[:1], np.zeros(1), np.zeros(1))
 
 
 def hessian_samples(monkeypatch) -> list[int]:
