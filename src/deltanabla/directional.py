@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, EvaluationError
+from .errors import ConfigurationError, DomainError
 from .extension import _finite_direction
 from .timescale import (
     _STENCIL,
@@ -32,14 +32,13 @@ from .timescale import (
     shift_sigma,
 )
 from .variational import (
+    HESSIAN,
     Lagrangian,
     Solution,
     Term,
     TermSumProblem,
     _check_scales,
-    _in_domain,
     _max_abs_residual,
-    _samples,
     _stream,
     solve,
 )
@@ -74,66 +73,36 @@ def shifted_composition(y: GridFunction, u: float) -> GridFunction:
     return u * shift_rho(y)
 
 
-class _Reduced(Lagrangian):
-    """A reduced integrand, which keeps its inner L and direction u for its Hessian."""
-
-    __slots__ = ("inner", "u")
-
-    def hessian(self, t, s, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """u^3 times the inner L's Hessian at (t, u*s, u*w): one array call
-        of ``L.hessian``.  On a fault the samples are taken one at a time,
-        so the error raised is the first failing sample's."""
-        try:
-            return self._scaled_hessian(t, s, w)
-        except EvaluationError as exc:
-            error = exc
-        # each sample as arrays of shape (1,), on which a kernel returns arrays
-        for sample in zip(*(np.asarray(c)[:, None] for c in _samples(t, s, w)[1])):
-            self._scaled_hessian(*sample)
-        raise error
-
-    def _scaled_hessian(self, t, s, w):
-        L, u = self.inner, self.u
-
-        def scaled():
-            return tuple(u**3 * h for h in L.hessian(t, u * np.asarray(s, float), u * np.asarray(w, float)))
-
-        try:
-            return _in_domain(scaled)
-        except FloatingPointError as exc:  # the scaling or the product left the domain
-            raise EvaluationError(f"u^3 * yy/yv/vv of the inner L at (t, u*s, u*w), u = {u!r}: {exc}") from None
-
-
 def reduced_lagrangian(L: Lagrangian, u: float) -> Lagrangian:
     """The integrand of a directional problem's one term: (t, s, w) -> u * L(t, u*s, u*w).
 
-    Its slot partials are u^2 times those of L at the scaled arguments.
-    On arrays its fast pass streams L's raw scalar functions at the
-    arguments scaled as arrays and scales the results as arrays, which
-    gives the bits of the scalar closures below; on a fault the closures
-    name it, sample by sample.  Its second partials are u^3 times those of
-    L at the scaled arguments, one array call of ``L.hessian``: L's
-    compiled second partials for an expression, L's own central
-    differences for a callable.
+    Its slot partials are u^2 times those of L at the scaled arguments,
+    and its second partials u^3 times L's.  On arrays its fast pass scales
+    the arguments as arrays and the results by those factors: for the
+    value and the partials it streams L's raw scalar functions, which
+    gives the bits of the scalar closures below, and on a fault the
+    closures name it, sample by sample; for the Hessian it makes one array
+    call of ``L.hessian``, L's compiled second partials for an expression
+    and L's own central differences for a callable, whose error names the
+    failing sample.
     """
     if not isinstance(L, Lagrangian):
         raise ConfigurationError(f"a directional problem needs a Lagrangian, got {type(L).__name__}")
     uu = u * u
-    reduced = _Reduced(
+    reduced = Lagrangian(
         lambda t, s, w: u * L(t, u * s, u * w),
         d2=lambda t, s, w: uu * L.d2(t, u * s, u * w),
         d3=lambda t, s, w: uu * L.d3(t, u * s, u * w),
     )
-    factor = {"L": u, "d2": uu, "d3": uu}
+    factor = {"L": u, "d2": uu, "d3": uu, **dict.fromkeys(HESSIAN, u**3)}
 
     def fast(keys, t, s, w):
         s, w = (u * np.asarray(a, float) for a in (s, w))
-        inner = _stream([L._raw(key) for key in keys], t, s, w)
+        inner = L.hessian(t, s, w) if keys == HESSIAN else _stream([L._raw(key) for key in keys], t, s, w)
         return tuple(factor[key] * a for key, a in zip(keys, inner))
 
     reduced._fast = fast
     reduced.source = L.source
-    reduced.inner, reduced.u = L, u
     return reduced
 
 

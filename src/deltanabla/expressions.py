@@ -280,10 +280,12 @@ _NAMESPACE = {"_pow": math.pow, "inf": math.inf, "nan": math.nan, **_FN_TABLE}
 
 def _broadcast(out, t, y, v):
     """out at the broadcast shape of t, y and v: out itself when it already
-    has their shape, as a numpy result on arrays of one shape does."""
+    has their shape, as a numpy result on arrays of one shape does, and a
+    numpy float for a Python float."""
     try:
         same = out.shape == t.shape == y.shape == v.shape
     except AttributeError:  # a Python float among them
+        out = np.float64(out) if isinstance(out, float) else out
         same = np.shape(out) == np.shape(t) == np.shape(y) == np.shape(v)
     return out if same else np.broadcast_arrays(out, t, y, v)[0]
 

@@ -46,7 +46,7 @@ from . import expressions
 from .timescale import _STENCIL, DomainTag, GridFunction, TimeScale, _one_function, _slopes
 
 FD_STEP = 1e-6  # central-difference step factor, times max(1, |x|)
-HESSIAN = ("yy", "yv", "vv")  # the second partials, as keys of Lagrangian._trees
+HESSIAN = ("yy", "yv", "vv")  # the keys of the second partials in Lagrangian._on_arrays
 
 
 def _fd_step(x: float) -> float:
@@ -67,9 +67,11 @@ class Lagrangian:
     to central finite differences otherwise; ``source`` records which:
     "analytic" when ``d2`` is given, "numeric" when it is not.
     The value and the partials take Python floats.  ``values``,
-    ``partials`` and ``hessian`` take arrays: one unchecked fast pass over
-    every sample, checked once, and on a fault a naming pass that raises
-    the error of the first failing sample (see ``_on_arrays``).
+    ``partials`` and ``hessian`` take arrays, and all three follow one
+    rule, whatever built the Lagrangian: one unchecked fast pass over
+    every sample under the domain rule, checked once, and on a fault a
+    naming pass that raises the error of the first failing sample (see
+    ``_on_arrays``).
     """
 
     __slots__ = ("_fn", "_d2", "_d3", "_fast", "_trees", "source", "text")
@@ -88,9 +90,9 @@ class Lagrangian:
         self._d2 = d2
         self._d3 = d3
         self.source = "analytic" if d2 is not None else "numeric"
-        # the fast array pass (keys, t, y, v) -> arrays, when it is not the
-        # stream of the raw scalar functions; trees and text: an expression's
-        self._fast = self._trees = self.text = None
+        # the fast array pass (keys, t, y, v) -> arrays; trees and text: an expression's
+        self._fast = self._by_scalars
+        self._trees = self.text = None
 
     @classmethod
     def from_expression(cls, src: str) -> "Lagrangian":
@@ -146,41 +148,68 @@ class Lagrangian:
         fn = {"L": self._fn, "d2": self._d2, "d3": self._d3}[key]
         return fn if fn is not None else getattr(self, key)
 
-    def _on_arrays(self, keys: tuple[str, ...], t, y, v) -> tuple[np.ndarray, ...]:
-        """The functions named by ``keys`` (keys of ``_trees``) at every
-        sample of the broadcast arrays t, y and v, one array of the
-        broadcast shape each.
+    def _by_scalars(self, keys: tuple[str, ...], t, y, v) -> tuple[np.ndarray, ...]:
+        """The fast pass of a Lagrangian built from callables: the raw
+        scalar function of each key streamed over the samples, and for
+        ``HESSIAN`` one central difference of the stacked ``partials`` in y
+        and one in v, the mixed partial symmetrized."""
+        if keys != HESSIAN:
+            return _stream([self._raw(key) for key in keys], t, y, v)
+        y, v = np.asarray(y, float), np.asarray(v, float)
 
-        A fast pass evaluates them without per-sample checks: ``_fast``
-        where it is set (a parsed expression's kernel compiled for
-        ``keys``), otherwise the raw scalar function of each key streamed
-        over the samples.  It runs under the domain rules of
+        def d23(t, y, v):
+            return np.stack(self.partials(t, y, v))
+
+        hy, hv = (FD_STEP * np.maximum(1.0, np.abs(x)) for x in (y, v))
+        yy, d3y = _central(d23, t, y, v, hy, 0.0)
+        d2v, vv = _central(d23, t, y, v, 0.0, hv)
+        return yy, 0.5 * (d2v + d3y), vv
+
+    def _on_arrays(self, keys: tuple[str, ...], t, y, v) -> tuple[np.ndarray, ...]:
+        """The functions named by ``keys``, ``("L",)``, ``("d2", "d3")`` or
+        ``HESSIAN``, at every sample of the broadcast arrays t, y and v, one
+        array of the broadcast shape each.
+
+        The fast pass ``_fast`` evaluates them without per-sample checks:
+        a parsed expression's kernel compiled for ``keys``, a reduced
+        directional integrand's scaled pass, or ``_by_scalars`` for a
+        Lagrangian built from callables.  It runs under the domain rules of
         ``expressions.evaluate``: a floating-point fault other than
         underflow fails even where IEEE arithmetic would carry on to a
         finite result, and so does a non-finite entry.  On any failure a
-        naming pass evaluates the samples one at a time, so the error
-        raised is the first failing sample's: on a parsed expression's
-        trees, which name the failing subexpression, and otherwise through
-        the guarded scalar functions, whose result it returns when none
-        raises.
+        naming pass takes the samples one at a time, so the error raised
+        is the first failing sample's: on a parsed expression's trees,
+        which name the failing subexpression; for L, d2 and d3 of any other
+        Lagrangian through the guarded scalar functions, whose result it
+        returns when none raises; for its Hessian through the fast pass on
+        each sample as arrays of shape (1,), which raises that sample's own
+        ``EvaluationError`` (an inner Lagrangian's passes through) or a new
+        one naming the keys, the sample and the fault.
         """
         try:
             with np.errstate(all="raise", under="ignore"):
-                if self._fast is not None:
-                    out = self._fast(keys, t, y, v)
-                else:
-                    out = _stream([self._raw(key) for key in keys], t, y, v)
+                out = self._fast(keys, t, y, v)
             if all(np.count_nonzero(np.isfinite(a)) == a.size for a in out):
                 return out
-            why = "a non-finite result"
+            fault = "a non-finite result"
         except Exception as exc:  # whatever a raw callable raises, the naming pass raises in order
-            why = str(exc)
-        if self._trees is None:
+            fault = exc
+        what = "/".join(keys)
+        if self._trees is not None:
+            for s in zip(*_samples(t, y, v)[1]):
+                for key in keys:
+                    expressions.evaluate(self._trees[key], *s)
+            raise EvaluationError(f"{what} of {self.text!r}: {fault}")
+        if keys != HESSIAN:
             return _stream([self if key == "L" else getattr(self, key) for key in keys], t, y, v)
-        for s in zip(*_samples(t, y, v)[1]):
-            for key in keys:
-                expressions.evaluate(self._trees[key], *s)
-        raise EvaluationError(f"{'/'.join(keys)} of {self.text!r}: {why}")
+        shape, columns = _samples(t, y, v)
+        if math.prod(shape) == 1:  # the one sample: its own error, or one that names it
+            if isinstance(fault, EvaluationError):
+                raise fault
+            raise EvaluationError(f"{what}({', '.join(repr(c[0]) for c in columns)}): {fault}")
+        for sample in zip(*(np.asarray(c)[:, None] for c in columns)):
+            self._on_arrays(keys, *sample)
+        raise EvaluationError(f"{what}: {fault}")
 
     def values(self, t, y, v) -> np.ndarray:
         """L at every sample of the broadcast arrays t, y and v."""
@@ -193,21 +222,12 @@ class Lagrangian:
 
     def hessian(self, t, y, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Second partials (yy, yv, vv) at every sample of the broadcast
-        arrays t, y and v: exact for a parsed expression; u^3 times the
-        inner L's at (t, u*y, u*v) for ``directional.reduced_lagrangian(L,
-        u)``; for any other Lagrangian one central difference of the
-        stacked partials in y and one in v, the mixed partial symmetrized."""
-        if self._trees is not None:
-            return self._on_arrays(HESSIAN, t, y, v)
-        y, v = np.asarray(y, float), np.asarray(v, float)
-
-        def d23(t, y, v):
-            return np.stack(self.partials(t, y, v))
-
-        hy, hv = (FD_STEP * np.maximum(1.0, np.abs(x)) for x in (y, v))
-        yy, d3y = _central(d23, t, y, v, hy, 0.0)
-        d2v, vv = _central(d23, t, y, v, 0.0, hv)
-        return yy, 0.5 * (d2v + d3y), vv
+        arrays t, y and v, under the rule of ``values``: exact for a parsed
+        expression; u^3 times the inner L's at (t, u*y, u*v) for
+        ``directional.reduced_lagrangian(L, u)``; for a Lagrangian built
+        from callables one central difference of the stacked partials in y
+        and one in v, the mixed partial symmetrized."""
+        return self._on_arrays(HESSIAN, t, y, v)
 
 
 def _samples(t, y, v) -> tuple[tuple[int, ...], list[memoryview]]:
@@ -395,14 +415,9 @@ def gradient(p: TermSumProblem, y: GridFunction) -> np.ndarray:
     """Gradient of the functional with respect to the interior trajectory
     values; stationarity of these is exactly constancy of both
     Euler-Lagrange forms."""
-    _check_scales(p, y)
-    ts = p.scale
-    gaps = ts.gaps()
-    slope = _slopes(ts, y.values)
+    gaps = p.scale.gaps()
     g = np.zeros(len(gaps) - 1)
-    for term in p.active_terms:
-        e, s, _ = _STENCIL[term.kind]
-        d2, d3 = term.lagrangian._on_arrays(("d2", "d3"), ts.points[e], y.values[s], slope)
+    for term, e, _, d2, d3 in _term_partials(p, y):
         # gap * d2 lands on the state point, which is interior for the gaps
         # that e picks, all but the gap that ends (delta) or starts (nabla)
         # at an endpoint; d3 enters each gap's right end and leaves its left
@@ -610,8 +625,9 @@ def certify(p: TermSumProblem, sol: Solution) -> Certificate:
     All Hessians positive semidefinite with nonnegative weights certifies a
     global minimizer; the negative-semidefinite analogue a global
     maximizer; anything else, or any negative weight, gives local-only, as
-    does a box that leaves the Lagrangian's domain.  The check samples; it
-    is evidence, not a proof.
+    does a box where ``hessian`` fails by the domain rule of every
+    Lagrangian's arrays, a callable's overflowing central difference
+    included.  The check samples; it is evidence, not a proof.
 
     Blocks are swept until the verdict is settled: block k of every active
     term before block k + 1, stopping at local-only as soon as one sampled

@@ -269,12 +269,11 @@ def _hessian_of_samples(M, t, y, v):
     return yy, 0.5 * (d2v + d3y), vv
 
 
-def _scaled_hessian_of_samples(R, t, y, v):
-    """A reduced integrand's Hessian written out sample by sample, in C
-    order: u^3 times the inner L's Hessian at (t, u*y, u*v), the scaling
+def _scaled_hessian_of_samples(L, u, t, y, v):
+    """The Hessian of ``reduced_lagrangian(L, u)`` written out sample by
+    sample, in C order: u^3 times L's Hessian at (t, u*y, u*v), the scaling
     and the product under the domain rules, raising the first failing
-    sample's error."""
-    L, u = R.inner, R.u
+    sample's error, L's own or one naming the sample."""
     t, y, v = np.broadcast_arrays(*(np.asarray(a, float) for a in (t, y, v)))
     rows = []
     for s in zip(t.ravel().tolist(), y.ravel().tolist(), v.ravel().tolist()):
@@ -283,16 +282,21 @@ def _scaled_hessian_of_samples(R, t, y, v):
                 inner = L.hessian(np.array([s[0]]), u * np.array([s[1]]), u * np.array([s[2]]))
                 rows.append([(u**3 * h)[0] for h in inner])
         except FloatingPointError as exc:
-            raise EvaluationError(f"u^3 * yy/yv/vv of the inner L at (t, u*s, u*w), u = {u!r}: {exc}") from None
+            raise EvaluationError(f"yy/yv/vv{s!r}: {exc}") from None
     return tuple(np.array(col, float).reshape(t.shape) for col in zip(*rows))
 
 
-def _same_as_by_sample(M, t, y, v):
-    hessian = _scaled_hessian_of_samples if hasattr(M, "inner") else _hessian_of_samples
+def _same_as_by_sample(M, t, y, v, reduced_from=None):
+    """M's arrays, or its error, equal those taken sample by sample; for
+    M = reduced_lagrangian(L, u), reduced_from is (L, u)."""
+    if reduced_from is None:
+        hessian = functools.partial(_hessian_of_samples, M)
+    else:
+        hessian = functools.partial(_scaled_hessian_of_samples, *reduced_from)
     return (
         _arrays_or_error(M.values, t, y, v) == _arrays_or_error(_by_sample, (M,), t, y, v)
         and _arrays_or_error(M.partials, t, y, v) == _arrays_or_error(_by_sample, (M.d2, M.d3), t, y, v)
-        and _arrays_or_error(M.hessian, t, y, v) == _arrays_or_error(hessian, M, t, y, v)
+        and _arrays_or_error(M.hessian, t, y, v) == _arrays_or_error(hessian, t, y, v)
     )
 
 
@@ -312,12 +316,13 @@ def test_reduced_arrays_equal_the_closures_sample_by_sample(u):
     for i, (L, t, y, v) in enumerate(_random_cases(seed=26, count=60)):
         R = reduced_lagrangian(L, u)
         k = 8
-        assert _same_as_by_sample(R, np.full(k, t), y + rng.uniform(-1, 1, k), v + rng.uniform(-1, 1, k)), L.text
+        ys, vs = y + rng.uniform(-1, 1, k), v + rng.uniform(-1, 1, k)
+        assert _same_as_by_sample(R, np.full(k, t), ys, vs, (L, u)), L.text
         if i % len(DIRECTIONS) == DIRECTIONS.index(u):
             ts = np.array([t, t + 0.5])[:, None, None]
             ys = np.linspace(y - 1.0, y + 1.0, 21)[:, None]
             vs = np.linspace(v - 1.0, v + 1.0, 21)[None, :]
-            assert _same_as_by_sample(R, ts, ys, vs), L.text
+            assert _same_as_by_sample(R, ts, ys, vs, (L, u)), L.text
 
 
 def _inf_at_3(t, y, v):
@@ -333,24 +338,28 @@ def _inf_at_3_raise_at_5(t, y, v):
 @pytest.mark.parametrize(
     "M, y, v",
     [
+        # (L, u) stands for reduced_lagrangian(L, u)
         # the inner log(y) at a negative scaled state, and 1/y at 0
-        (reduced_lagrangian(Lagrangian.from_expression("v^2 + log(y)"), -0.5), [-4.0, -2.0, 2.0, 0.0], 1.0),
+        ((Lagrangian.from_expression("v^2 + log(y)"), -0.5), [-4.0, -2.0, 2.0, 0.0], 1.0),
         # u^2 * d2 = 4e308 overflows at the first sample, before the inner
         # d2 = 1e308 + 1/y divides by zero at the second
-        (reduced_lagrangian(Lagrangian.from_expression("1e308*y + log(y)"), 2.0), [0.5, 0.0], 1.0),
+        ((Lagrangian.from_expression("1e308*y + log(y)"), 2.0), [0.5, 0.0], 1.0),
         # a plain callable, non-finite at sample 3 and raising at sample 5
         (Lagrangian(_inf_at_3_raise_at_5, _inf_at_3_raise_at_5, _inf_at_3_raise_at_5), np.arange(8.0), 0.0),
         # and one that only returns a non-finite value
         (Lagrangian(_inf_at_3, _inf_at_3, _inf_at_3), np.arange(8.0), 0.0),
         # u^3 * yy = 8 * (1e308 - 1) overflows at the first sample, before
         # the inner yy = 1e308 - 1/y^2 divides by zero at the second
-        (reduced_lagrangian(Lagrangian.from_expression("5e307*y^2 + log(y)"), 2.0), [0.5, 0.0], 1.0),
+        ((Lagrangian.from_expression("5e307*y^2 + log(y)"), 2.0), [0.5, 0.0], 1.0),
     ],
 )
 def test_array_errors_are_the_first_failing_samples(M, y, v):
+    reduced_from = M if isinstance(M, tuple) else None
+    if reduced_from:
+        M = reduced_lagrangian(*reduced_from)
     t = np.zeros(len(y))
     assert _arrays_or_error(M.values, t, y, v)[0] is EvaluationError
-    assert _same_as_by_sample(M, t, y, v)
+    assert _same_as_by_sample(M, t, y, v, reduced_from)
 
 
 def test_hessian_fails_where_ieee_arithmetic_hides_a_domain_fault():
@@ -365,6 +374,31 @@ def test_hessian_fails_where_ieee_arithmetic_hides_a_domain_fault():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match=r"division by zero in '1\.0/t'"):
             L.hessian(t, y, v)
+
+
+def test_expression_arrays_take_python_floats():
+    # d3 = 2*v and yv = 0 come out of their kernels as bare Python floats
+    L = Lagrangian.from_expression("v^2 + log(y)")
+    assert L.values(0.0, 2.0, 1.0) == pytest.approx(1.0 + math.log(2.0), rel=1e-15)
+    assert L.partials(0.0, 2.0, 1.0) == (0.5, 2.0)
+    assert L.hessian(0.0, 2.0, 1.0) == (-0.25, 0.0, 2.0)
+
+
+def test_callable_hessian_that_overflows_leaves_the_domain():
+    # d2 = 2e308*y is finite on the box, its central difference in y,
+    # about 2e308, is not: local-only, with no warning
+    L = Lagrangian(
+        lambda t, y, v: 1e308 * y * y + v * v, lambda t, y, v: 1e308 * (2 * y), lambda t, y, v: 2 * v
+    )
+    ts = TimeScale.sampled_interval(1.0, 2.0, 9)
+    p = TermSumProblem(ts, [Term(1.0, L, "delta")], 0.0, 0.1)
+    sol = Solution(GridFunction(ts, np.linspace(0.0, 0.1, 9)), 0.0, 0.0, 0.0, Certificate.NONE, 0, True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certify(p, sol) is Certificate.LOCAL_ONLY
+        fault = r"^yy/yv/vv\(1\.0, 0\.05, 0\.1\): overflow encountered in divide$"
+        with pytest.raises(EvaluationError, match=fault):
+            L.hessian(1.0, 0.05, 0.1)
 
 
 def test_array_evaluation_matches_the_scalar_functions():
@@ -1082,7 +1116,7 @@ def test_directional_certificate_of_an_overflowing_hessian_is_local_only():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert certify(p, sol) is Certificate.LOCAL_ONLY
-    with pytest.raises(EvaluationError, match=r"u\^3 \* yy/yv/vv .* u = 2\.0: overflow"):
+    with pytest.raises(EvaluationError, match=r"^yy/yv/vv\(1\.0, 0\.0, 0\.0\): overflow"):
         p.terms[0].lagrangian.hessian(ts.points[:1], np.zeros(1), np.zeros(1))
 
 
