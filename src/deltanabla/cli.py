@@ -28,7 +28,6 @@ from .identities import FAMILIES, identity_suite
 from .problemfile import LoadedProblem, load_problem
 from .timescale import GridFunction, delta_derivative
 from .variational import (
-    PROBE_DELTA,
     PROBE_SLACK,
     Solution,
     _max_abs_residual,
@@ -209,7 +208,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             print("warning: --probe-trials 0 checks nothing; vacuous pass")
         # one pass for both verdicts: a trial is evaluated while either is open
         is_min = is_max = True
-        for trial in _probe_objectives(p, y, args.probe_trials, PROBE_DELTA, args.seed):
+        for trial in _probe_objectives(p, y, args.probe_trials, args.seed):
             is_min = is_min and not trial < value - PROBE_SLACK
             is_max = is_max and not trial > value + PROBE_SLACK
             if not (is_min or is_max):

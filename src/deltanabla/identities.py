@@ -50,10 +50,6 @@ IDENTITY_NAMES: tuple[str, ...] = tuple(
     name for names in FAMILIES.values() for name in names
 )
 
-# random scales start in [-_START_SPREAD, _START_SPREAD)
-_START_SPREAD = 5.0
-
-
 def random_scale(
     rng: np.random.Generator,
     min_points: int = 2,
@@ -64,7 +60,7 @@ def random_scale(
     """A random finite scale with log-uniform gaps."""
     n = int(rng.integers(min_points, max_points + 1))
     gaps = np.exp(rng.uniform(np.log(min_gap), np.log(max_gap), n - 1))
-    start = rng.uniform(-_START_SPREAD, _START_SPREAD)
+    start = rng.uniform(-5.0, 5.0)
     return TimeScale(start + np.concatenate([[0.0], np.cumsum(gaps)]))
 
 
@@ -152,48 +148,19 @@ def check_trial(ts: TimeScale, f: GridFunction, g: GridFunction) -> dict[str, fl
     return dict(zip(sides, _rel_errors(sides.values()).tolist()))
 
 
-def identity_suite(
-    trials: int = 200,
-    seed: int = 0,
-    min_points: int = 2,
-    max_points: int = 50,
-    min_gap: float = 1e-3,
-    max_gap: float = 10.0,
-) -> dict[str, float]:
-    """Worst relative error per identity over random scales and functions."""
+def identity_suite(trials: int = 200, seed: int = 0) -> dict[str, float]:
+    """Worst relative error per identity over random scales and functions,
+    each scale drawn by ``random_scale`` with its default shape.  Its points
+    stay below 5 + 49 * 10 in magnitude, where four float spacings come to
+    4.4e-13, far under the least gap 1e-3, so they stay strictly increasing."""
     if trials < 0:
         raise DomainError(f"trials must be nonnegative, got {trials}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    if min_points < 2:
-        raise DomainError(f"min_points must be at least 2, got {min_points}")
-    if max_points < min_points:
-        raise DomainError(
-            f"max_points must be at least min_points={min_points}, got {max_points}"
-        )
-    if not (math.isfinite(min_gap) and min_gap > 0.0):
-        raise DomainError(f"min_gap must be positive and finite, got {min_gap}")
-    if not (math.isfinite(max_gap) and max_gap >= min_gap):
-        raise DomainError(
-            f"max_gap must be finite and at least min_gap={min_gap}, got {max_gap}"
-        )
-    # random_scale's points stay below _START_SPREAD + (max_points - 1) *
-    # max_gap in magnitude, where floats are at most eps times that apart; a
-    # gap of four such spacings survives the rounding of the cumulative sum
-    # and of the shift by the start point, so the points stay strictly
-    # increasing.
-    reach = _START_SPREAD + (max_points - 1) * max_gap
-    bound = 4.0 * np.finfo(float).eps * reach
-    if not min_gap > bound:
-        raise DomainError(
-            f"min_gap must exceed {bound:.3g}, four float spacings at {reach:g}, the "
-            f"largest point max_points={max_points} gaps of max_gap={max_gap} reach; "
-            f"got {min_gap}"
-        )
     rng = np.random.default_rng(seed)
     worst = {name: 0.0 for name in IDENTITY_NAMES}
     for _ in range(trials):
-        ts = random_scale(rng, min_points, max_points, min_gap, max_gap)
+        ts = random_scale(rng)
         f = random_grid_function(rng, ts)
         g = random_grid_function(rng, ts)
         for name, err in check_trial(ts, f, g).items():

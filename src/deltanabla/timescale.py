@@ -33,6 +33,8 @@ stack, so the matrix is one derivative call.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
@@ -103,6 +105,8 @@ class TimeScale:
         """
         if n < 2:
             raise DomainError("sampled_interval needs n >= 2")
+        if not (math.isfinite(a) and math.isfinite(b)):  # before linspace warns on them
+            raise DomainError(f"sampled_interval needs finite a and b, got {a!r} and {b!r}")
         if not b > a:
             raise DomainError("sampled_interval needs a < b")
         return cls(np.linspace(a, b, n))
@@ -381,10 +385,14 @@ def hat_variation(ts: TimeScale, interior_index: int) -> GridFunction:
     These hats span every variation vanishing at both endpoints, so testing
     a linear condition against all of them tests it against the whole class.
     """
-    if not 1 <= interior_index <= len(ts) - 2:
-        raise DomainError(f"index {interior_index} is not interior to {ts!r}")
+    try:
+        i = operator.index(interior_index)
+    except TypeError:
+        raise DomainError(f"interior_index must be an integer, got {interior_index!r}") from None
+    if not 1 <= i <= len(ts) - 2:
+        raise DomainError(f"index {i} is not interior to {ts!r}")
     v = np.zeros(len(ts))
-    v[interior_index] = 1.0
+    v[i] = 1.0
     return GridFunction(ts, v)
 
 

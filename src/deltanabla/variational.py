@@ -522,7 +522,14 @@ def solve(
     start point where the gradient cannot be evaluated gives no iterations
     and NaN for the objective and residuals it cannot evaluate.  The
     certificate is filled by ``certify`` when the solve converged.
+
+    tol must be finite and positive, and max_iter an integer of at least 1,
+    as in a problem file; anything else raises a DomainError naming it.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and positive, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise DomainError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
     if init is None:
         x = linear_interpolant(p).values[1:-1].copy()
     else:
@@ -701,17 +708,15 @@ PROBE_DELTA = 0.1  # radius of the trials' ball in the trajectory norm
 PROBE_SLACK = 1e-12  # a trial within this of the objective at y passes
 
 
-def _probe_objectives(
-    p: TermSumProblem, y: GridFunction, n_trials: int, delta: float, seed: int
-) -> Iterator[float]:
+def _probe_objectives(p: TermSumProblem, y: GridFunction, n_trials: int, seed: int) -> Iterator[float]:
     """The objective at each of n_trials variations of y that vanish at
-    both endpoints, scaled into the delta-ball of the trajectory norm, each
-    under ``_in_domain``; the caller holds the objective at y itself.  A
-    trial draws its interior values (skipped when all are zero) and then
-    its step factor.  Stacks of up to ``CERTIFY_BLOCK // len(p.scale)``
-    trials are evaluated at once; a stack that fails is evaluated again
-    lazily, one trial at a time, so each trial's error is raised when the
-    caller reaches it, as if alone."""
+    both endpoints, scaled into the ``PROBE_DELTA``-ball of the trajectory
+    norm, each under ``_in_domain``; the caller holds the objective at y
+    itself.  A trial draws its interior values (skipped when all are zero)
+    and then its step factor.  Stacks of up to
+    ``CERTIFY_BLOCK // len(p.scale)`` trials are evaluated at once; a stack
+    that fails is evaluated again lazily, one trial at a time, so each
+    trial's error is raised when the caller reaches it, as if alone."""
     rng = np.random.default_rng(seed)
     ts = p.scale
     n = len(ts)
@@ -724,7 +729,7 @@ def _probe_objectives(
                 interiors.append(eta)
                 factors.append(rng.uniform(0.0, 1.0))
         etas = np.pad(np.reshape(interiors, (len(interiors), n - 2)), ((0, 0), (1, 1)))
-        eps = np.array(factors) * delta / (2.0 * _norms(ts, etas))
+        eps = np.array(factors) * PROBE_DELTA / (2.0 * _norms(ts, etas))
         ys = y.values + eps[:, None] * etas
         try:  # a trajectory that is not finite fails in GridFunction below, as on its own
             trials = _in_domain(_objectives, p, ys) if np.isfinite(ys).all() else None
@@ -735,19 +740,12 @@ def _probe_objectives(
         yield from trials
 
 
-def local_min_probe(
-    p: TermSumProblem,
-    sol: Solution,
-    n_trials: int = 1000,
-    delta: float = PROBE_DELTA,
-    seed: int = 0,
-    slack: float = PROBE_SLACK,
-) -> bool:
+def local_min_probe(p: TermSumProblem, sol: Solution, n_trials: int = 1000, seed: int = 0) -> bool:
     """Random-perturbation check that sol.y is a weak local minimizer: no
     trial of ``_probe_objectives`` may fall below the objective at sol.y
-    by more than ``slack``.  The verdict, or the error raised, is the
+    by more than ``PROBE_SLACK``.  The verdict, or the error raised, is the
     first failing trial's."""
     if n_trials < 0:
         raise DomainError(f"n_trials must be nonnegative, got {n_trials}")
     base = _in_domain(objective, p, sol.y)
-    return not any(trial < base - slack for trial in _probe_objectives(p, sol.y, n_trials, delta, seed))
+    return not any(trial < base - PROBE_SLACK for trial in _probe_objectives(p, sol.y, n_trials, seed))

@@ -16,8 +16,8 @@ DEFAULTED = {
     "delta_integral": ("lo", "hi"),
     "directional_derivative": ("method", "h"),
     "directional_el_residual": ("strict",),
-    "identity_suite": ("trials", "seed", "min_points", "max_points", "min_gap", "max_gap"),
-    "local_min_probe": ("n_trials", "delta", "seed", "slack"),
+    "identity_suite": ("trials", "seed"),
+    "local_min_probe": ("n_trials", "seed"),
     "nabla_integral": ("lo", "hi"),
     "random_grid_function": ("lo", "hi"),
     "random_scale": ("min_points", "max_points", "min_gap", "max_gap"),

@@ -28,7 +28,7 @@ from deltanabla import (
 )
 from deltanabla import expressions as ex
 from deltanabla.cli import main
-from deltanabla.variational import PROBE_DELTA, _probe_objectives
+from deltanabla.variational import _probe_objectives
 from conftest import random_expression
 
 EXAMPLE = {
@@ -667,7 +667,7 @@ def test_check_raises_a_trial_error_only_while_a_verdict_is_open(tmp_path, capsy
     p = load_problem_dict(data).problem
     y = GridFunction.constant(p.scale, 0.0)
     with pytest.raises(EvaluationError, match="log of non-positive"):
-        list(_probe_objectives(p, y, 40, PROBE_DELTA, 0))
+        list(_probe_objectives(p, y, 40, 0))
     expected = two_probe_line(p, y, 40, 0)
     assert _kind(expected) == kind
     assert check_line(tmp_path, capsys, data, y, 40, 0) == expected

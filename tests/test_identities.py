@@ -1,6 +1,7 @@
 """The randomized identity suite: exact agreement with a one-identity-at-a-
 time reference, argument validation, and sensitivity to a faulty integral."""
 
+import functools
 import math
 
 import numpy as np
@@ -106,12 +107,18 @@ def _reference_suite(trials, seed, **scale_args):
         (11, {"min_points": 2, "max_points": 2}),
         (12, {"min_points": 100, "max_points": 300}),
         (13, {"min_gap": 1e-6, "max_gap": 1e3}),
+        (0, {"min_points": 2, "max_points": 2, "min_gap": 1.0, "max_gap": 1.0}),
     ],
 )
-def test_suite_equals_one_identity_at_a_time(seed, scale_args):
+def test_suite_equals_one_identity_at_a_time(monkeypatch, seed, scale_args):
+    # the suite draws random_scale's default shape; the other shapes reach
+    # it through the module's own random_scale
+    monkeypatch.setattr(identities, "random_scale", functools.partial(random_scale, **scale_args))
     expected = _reference_suite(60, seed, **scale_args)
-    assert identity_suite(60, seed, **scale_args) == expected
-    assert list(identity_suite(60, seed, **scale_args)) == list(IDENTITY_NAMES)
+    worst = identity_suite(60, seed)
+    assert worst == expected
+    assert list(worst) == list(IDENTITY_NAMES)
+    assert max(worst.values()) <= 1e-12
 
 
 def test_check_trial_equals_reference_trial():
@@ -148,20 +155,7 @@ def test_suite_sees_an_integral_off_by_one_part_in_a_billion(monkeypatch, name, 
 
 
 @pytest.mark.parametrize(
-    "kwargs, argument",
-    [
-        ({"trials": -3}, "trials"),
-        ({"min_points": 1}, "min_points"),
-        ({"min_points": 10, "max_points": 5}, "max_points"),
-        ({"min_gap": 0.0}, "min_gap"),
-        ({"min_gap": -1.0}, "min_gap"),
-        ({"min_gap": math.nan}, "min_gap"),
-        ({"max_gap": math.inf}, "max_gap"),
-        ({"min_gap": 2.0, "max_gap": 1.0}, "max_gap"),
-        ({"seed": -1}, "seed"),
-        ({"min_gap": 1e-9, "max_gap": 1e9}, "min_gap"),
-        ({"min_points": 2, "max_points": 2, "min_gap": 1e-16, "max_gap": 1e-16}, "min_gap"),
-    ],
+    "kwargs, argument", [({"trials": -3}, "trials"), ({"seed": -1}, "seed")]
 )
 def test_suite_rejects_bad_arguments_up_front(kwargs, argument):
     with pytest.raises(DomainError, match=f"^{argument} "):
@@ -170,16 +164,3 @@ def test_suite_rejects_bad_arguments_up_front(kwargs, argument):
 
 def test_suite_boundary_arguments_are_valid():
     assert identity_suite(trials=0) == dict.fromkeys(IDENTITY_NAMES, 0.0)
-    worst = identity_suite(trials=5, min_points=2, max_points=2, min_gap=1.0, max_gap=1.0)
-    assert max(worst.values()) <= 1e-12
-
-
-def test_suite_gap_bound_names_the_gap_arguments_and_admits_its_edge():
-    # gaps of 1e-9 added to points near 1.2e10 round away, so the scale
-    # would stop being strictly increasing mid-run
-    with pytest.raises(DomainError, match="max_points=13 gaps of max_gap=1000000000.0"):
-        identity_suite(60, 13, max_points=13, min_gap=1e-9, max_gap=1e9)
-    reach = 5.0 + 12 * 1e9
-    edge = np.nextafter(4.0 * np.finfo(float).eps * reach, math.inf)
-    worst = identity_suite(60, 13, max_points=13, min_gap=edge, max_gap=1e9)
-    assert list(worst) == list(IDENTITY_NAMES)

@@ -1,6 +1,7 @@
 """Core finite-scale calculus: jump operators, derivatives, integrals,
 conversion identities, and the Dubois-Reymond probe."""
 
+import math
 import operator
 
 import numpy as np
@@ -121,6 +122,10 @@ def test_sampled_interval():
         TimeScale.sampled_interval(1.0, 0.0, 5)
     with pytest.raises(DomainError):
         TimeScale.sampled_interval(0.0, 1.0, 1)
+    # checked before linspace, whose warning filterwarnings = error would raise
+    for a, b in [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(DomainError, match="finite a and b"):
+            TimeScale.sampled_interval(a, b, 5)
 
 
 def test_grid_function_validation():
@@ -597,3 +602,7 @@ def test_hat_variation_shape():
         hat_variation(ts, 0)
     with pytest.raises(DomainError):
         hat_variation(ts, 3)
+    assert list(hat_variation(ts, np.int64(1)).values) == [0.0, 1.0, 0.0, 0.0]
+    for bad in (1.5, 1.0, "1"):
+        with pytest.raises(DomainError, match="^interior_index must be an integer"):
+            hat_variation(ts, bad)

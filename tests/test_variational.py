@@ -40,6 +40,7 @@ from deltanabla import (
     random_scale,
     reduced_lagrangian,
     solve,
+    solve_directional,
 )
 from deltanabla import expressions as ex
 from deltanabla import variational
@@ -801,6 +802,18 @@ LOG_EXTREMAL = ("t*v^2", lambda t: np.log(t) / np.log(2.0))
 SINH_EXTREMAL = ("v^2 + y^2", lambda t: np.sinh(t - 1.0) / np.sinh(1.0))
 
 
+def _bessel_extremal(t):
+    """A*I0(2 sqrt t) + B*K0(2 sqrt t) through (1, 0) and (2, 1)."""
+    special = pytest.importorskip("scipy.special")
+    ends = 2.0 * np.sqrt([1.0, 2.0])
+    A, B = np.linalg.solve(np.column_stack([special.i0(ends), special.k0(ends)]), [0.0, 1.0])
+    s = 2.0 * np.sqrt(t)
+    return A * special.i0(s) + B * special.k0(s)
+
+
+BESSEL_EXTREMAL = ("t*v^2 + y^2", _bessel_extremal)
+
+
 @pytest.mark.parametrize(
     "src, exact, g1, g2, order",
     [
@@ -812,8 +825,14 @@ SINH_EXTREMAL = ("v^2 + y^2", lambda t: np.sinh(t - 1.0) / np.sinh(1.0))
         (*SINH_EXTREMAL, 0.0, 1.0, 2),
         (*SINH_EXTREMAL, 1.0, 1.0, 2),
         (*SINH_EXTREMAL, 1.0, 3.0, 2),
+        (*BESSEL_EXTREMAL, 1.0, 0.0, 1),
+        (*BESSEL_EXTREMAL, 0.0, 1.0, 1),
+        (*BESSEL_EXTREMAL, 1.0, 1.0, 2),
     ],
-    ids=["delta", "nabla", "1-3", "1-1", "sinh-delta", "sinh-nabla", "sinh-1-1", "sinh-1-3"],
+    ids=[
+        "delta", "nabla", "1-3", "1-1", "sinh-delta", "sinh-nabla", "sinh-1-1", "sinh-1-3",
+        "bessel-delta", "bessel-nabla", "bessel-1-1",
+    ],
 )
 def test_solve_converges_to_the_continuous_extremal(src, exact, g1, g2, order):
     # independent oracles: on [1, 2] with y(1) = 0 and y(2) = 1 the extremal
@@ -823,7 +842,12 @@ def test_solve_converges_to_the_continuous_extremal(src, exact, g1, g2, order):
     # one-sided stencils are first order, and equal delta and nabla weights
     # average to a second-order scheme.  v^2 + y^2 has constant
     # coefficients, so every weighting is second order; unlike t*v^2, its
-    # d2 is not zero, so its gap * d2 lands on y^sigma and y^rho.
+    # d2 is not zero, so its gap * d2 lands on y^sigma and y^rho.  The
+    # extremal of t*v^2 + y^2 solves t*y'' + y' - y = 0, so it is
+    # A*I0(2 sqrt t) + B*K0(2 sqrt t), with scipy's modified Bessel
+    # functions; it has both a t-dependent coefficient and a nonzero d2.
+    # Its weighting (1, 3) reads 1.054 * 2 from n = 11 to 21, outside the
+    # band, so it is left out.
     L = Lagrangian.from_expression(src)
     errors = []
     for n in (11, 21, 41, 81):
@@ -884,6 +908,34 @@ def test_solve_nonconvergence_is_reported_not_raised():
     assert not sol.converged
     assert sol.certificate is Certificate.NONE
     assert sol.iterations == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs, argument",
+    [
+        ({"tol": math.inf}, "tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": math.nan}, "tol"),
+        ({"max_iter": -1}, "max_iter"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"),
+        ({"max_iter": True}, "max_iter"),
+    ],
+)
+@pytest.mark.parametrize("solver", [solve, solve_directional])
+def test_solvers_reject_a_bad_tolerance_or_iteration_cap(solver, kwargs, argument):
+    # unchecked, tol=inf reports converged after no step, a negative or NaN
+    # tol can never converge, and max_iter=-1 runs no step
+    L = Lagrangian.from_expression("v^2 + y^2")
+    ts = TimeScale.sampled_interval(0, 1, 9)
+    if solver is solve:
+        p = DeltaNablaProblem(ts, 1, 1, L, L, 0, 1)
+    else:
+        p = DirectionalProblem(ts, 1.0, L, 0, 1)
+    with pytest.raises(DomainError, match=f"^{argument} "):
+        solver(p, **kwargs)
+    assert solver(p, tol=1e-10, max_iter=np.int64(200)).converged
 
 
 @pytest.mark.parametrize(
@@ -1271,6 +1323,7 @@ PROBE_TS = TimeScale.sampled_interval(0.0, 1.0, 9)
 def test_probe_matches_a_trial_by_trial_loop(monkeypatch, src, delta, kinds, zero_draws):
     # blocks of 16 trials on 9 points; counts below, at and past a block
     monkeypatch.setattr(variational, "CERTIFY_BLOCK", 16 * len(PROBE_TS))
+    monkeypatch.setattr(variational, "PROBE_DELTA", delta)
     if zero_draws:
         monkeypatch.setattr(np.random, "default_rng", SometimesZeroNormals)
     # the convex case probes its solution from 0 to 1, the others y = 0
@@ -1283,7 +1336,7 @@ def test_probe_matches_a_trial_by_trial_loop(monkeypatch, src, delta, kinds, zer
     for seed in range(8):
         for n_trials in (1, 15, 16, 60):
             expected = _outcome(reference_probe, p, sol, n_trials, delta, seed)
-            got = _outcome(local_min_probe, p, sol, n_trials, delta, seed)
+            got = _outcome(local_min_probe, p, sol, n_trials, seed)
             assert got == expected, (seed, n_trials)
             seen.add(expected if isinstance(expected, bool) else expected[0])
     if not zero_draws:  # every outcome the case is built for shows
