@@ -4,8 +4,9 @@
     deltanabla identities [--seed N] [--trials N]
     deltanabla check PROBLEM.json TRAJECTORY.csv [--probe-trials N] [--seed N]
 
-Exit codes: 0 success, 1 input or validation error, 2 numerical failure
-(non-convergence, identity failure, or a trajectory that is not stationary).
+Exit codes: 0 success, 1 input or validation error (a malformed command
+line too), 2 numerical failure (non-convergence, identity failure, or a
+trajectory that is not stationary).
 """
 
 from __future__ import annotations
@@ -45,30 +46,16 @@ EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_trajectory_csv(path: str, loaded: LoadedProblem, sol: Solution) -> None:
-    ts = sol.y.scale
-    n = len(ts)
     slopes = delta_derivative(sol.y).values  # y^Delta(t_i) = y^nabla(t_{i+1})
     # the first form holds the same values; NaN where they leave the domain
-    r = np.broadcast_to(_nan_outside_domain(lambda: el_residual_2(loaded.problem, sol.y).values), n - 1)
+    r = np.broadcast_to(_nan_outside_domain(lambda: el_residual_2(loaded.problem, sol.y).values), slopes.shape)
+    # each column formatted at once; "" where a domain excludes the point
+    t, y, slope, r = ([repr(x) for x in a.tolist()] for a in (sol.y.scale.points, sol.y.values, slopes, r))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "y", "y_delta", "y_nabla", "residual_el1", "residual_el2"])
-        for i, t in enumerate(ts.points):
-            writer.writerow(
-                [
-                    _fmt(t),
-                    _fmt(sol.y.values[i]),
-                    _fmt(slopes[i]) if i < n - 1 else "",
-                    _fmt(slopes[i - 1]) if i > 0 else "",
-                    _fmt(r[i - 1]) if i > 0 else "",
-                    _fmt(r[i]) if i < n - 1 else "",
-                ]
-            )
+        writer.writerows(zip(t, y, slope + [""], [""] + slope, [""] + r, r + [""]))
 
 
 def _json_number(x: float | None) -> float | None:
@@ -90,8 +77,8 @@ def _write_report(path: str, loaded: LoadedProblem, sol: Solution) -> None:
         "iterations": sol.iterations,
         "residuals": {key: _json_number(r) for key, r in residuals.items()},
         "trajectory": {
-            "t": [float(t) for t in sol.y.scale.points],
-            "y": [float(v) for v in sol.y.values],
+            "t": sol.y.scale.points.tolist(),
+            "y": sol.y.values.tolist(),
         },
     }
     with open(path, "w") as fh:
@@ -117,8 +104,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(
         f"residuals: el1={sol.residual_el1:.3e} el2={sol.residual_el2:.3e} (tol={loaded.tol:g})"
     )
-    for t, v in zip(sol.y.scale.points, sol.y.values):
-        print(f"  y({t:g}) = {float(v)!r}")
+    for t, v in zip(sol.y.scale.points.tolist(), sol.y.values.tolist()):
+        print(f"  y({t:g}) = {v!r}")
     return EXIT_OK if sol.converged else EXIT_NUMERICAL
 
 
@@ -220,8 +207,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are input errors; subparsers share its class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltanabla",
         description="Solve and audit delta-nabla variational problems on finite time scales.",
     )

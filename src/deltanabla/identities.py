@@ -15,10 +15,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError
 from .timescale import (
     GridFunction,
     TimeScale,
+    _integer,
     delta_derivative,
     delta_integral,
     nabla_derivative,
@@ -153,11 +153,8 @@ def identity_suite(trials: int = 200, seed: int = 0) -> dict[str, float]:
     each scale drawn by ``random_scale`` with its default shape.  Its points
     stay below 5 + 49 * 10 in magnitude, where four float spacings come to
     4.4e-13, far under the least gap 1e-3, so they stay strictly increasing."""
-    if trials < 0:
-        raise DomainError(f"trials must be nonnegative, got {trials}")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
+    trials = _integer(trials, "trials", nonnegative=True)
+    rng = np.random.default_rng(_integer(seed, "seed", nonnegative=True))
     worst = {name: 0.0 for name in IDENTITY_NAMES}
     for _ in range(trials):
         ts = random_scale(rng)

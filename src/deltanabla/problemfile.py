@@ -12,6 +12,9 @@ Schema (all keys at the top level unless nested):
     boundary:    {"alpha": .., "beta": ..}
     solver:      {"tol": .., "max_iter": ..}   optional
 
+Each kind is one row of the table ``_KINDS``: its problem class and the keys
+of its numbers and Lagrangians, which one generic block reads and validates.
+
 Validation failures raise ProblemFileError carrying the offending key.
 """
 
@@ -30,6 +33,15 @@ from .variational import DeltaNablaProblem, Lagrangian
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
+
+# One row per kind: its problem class, its number keys and Lagrangian keys
+# in constructor order, and the error on the first number key when every
+# number is zero.
+_KINDS = {
+    "delta-nabla": (DeltaNablaProblem, ("gamma1", "gamma2"), ("lagrangian_delta", "lagrangian_nabla"),
+                    "gamma1 and gamma2 cannot both be zero"),
+    "directional": (DirectionalProblem, ("u",), ("lagrangian",), "must be nonzero"),
+}
 
 
 @dataclass
@@ -73,13 +85,8 @@ def _build_scale(data: dict) -> tuple[TimeScale, dict]:
         if not isinstance(pts, list):
             raise ProblemFileError("timescale.points", "expected a list of numbers")
         pts = [_finite(x, "timescale.points") for x in pts]
-        try:
-            ts = TimeScale(pts)
-        except DomainError as exc:
-            raise ProblemFileError("timescale.points", str(exc)) from None
-        meta = {"source": "points", "points": [float(x) for x in ts.points]}
-        return ts, meta
-    if "interval" in spec:
+        key, meta, build, args = "timescale.points", {"source": "points"}, TimeScale, (pts,)
+    elif "interval" in spec:
         iv = spec["interval"]
         if not isinstance(iv, dict):
             raise ProblemFileError("timescale.interval", "expected an object")
@@ -91,17 +98,16 @@ def _build_scale(data: dict) -> tuple[TimeScale, dict]:
             raise ProblemFileError(f"timescale.interval.{exc.key}", "missing or invalid") from None
         if isinstance(n, bool) or not isinstance(n, int):
             raise ProblemFileError("timescale.interval.n", "expected an integer")
-        try:
-            ts = TimeScale.sampled_interval(a, b, n)
-        except DomainError as exc:
-            raise ProblemFileError("timescale.interval", str(exc)) from None
-        meta = {
-            "source": "interval",
-            "interval": {"a": a, "b": b, "n": n},
-            "points": [float(x) for x in ts.points],
-        }
-        return ts, meta
-    raise ProblemFileError("timescale", "needs either 'points' or 'interval'")
+        key, meta = "timescale.interval", {"source": "interval", "interval": {"a": a, "b": b, "n": n}}
+        build, args = TimeScale.sampled_interval, (a, b, n)
+    else:
+        raise ProblemFileError("timescale", "needs either 'points' or 'interval'")
+    try:
+        ts = build(*args)
+    except DomainError as exc:
+        raise ProblemFileError(key, str(exc)) from None
+    meta["points"] = ts.points.tolist()
+    return ts, meta
 
 
 def _parse_lagrangian(data: dict, key: str) -> Lagrangian:
@@ -147,31 +153,16 @@ def load_problem_dict(data: dict) -> LoadedProblem:
     if max_iter < 1:
         raise ProblemFileError("solver.max_iter", "must be at least 1")
 
-    if kind == "delta-nabla":
-        gamma1 = _number(data, "gamma1")
-        gamma2 = _number(data, "gamma2")
-        if gamma1 == 0.0 and gamma2 == 0.0:
-            raise ProblemFileError("gamma1", "gamma1 and gamma2 cannot both be zero")
-        L_delta = _parse_lagrangian(data, "lagrangian_delta")
-        L_nabla = _parse_lagrangian(data, "lagrangian_nabla")
-        problem = DeltaNablaProblem(ts, gamma1, gamma2, L_delta, L_nabla, alpha, beta)
-        meta.update(
-            {
-                "gamma1": gamma1,
-                "gamma2": gamma2,
-                "lagrangian_delta": data["lagrangian_delta"],
-                "lagrangian_nabla": data["lagrangian_nabla"],
-            }
-        )
-    elif kind == "directional":
-        u = _number(data, "u")
-        if u == 0.0:
-            raise ProblemFileError("u", "must be nonzero")
-        L = _parse_lagrangian(data, "lagrangian")
-        problem = DirectionalProblem(ts, u, L, alpha, beta)
-        meta.update({"u": u, "lagrangian": data["lagrangian"]})
-    else:
-        raise ProblemFileError("kind", f"expected 'delta-nabla' or 'directional', got {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ProblemFileError("kind", f"expected {' or '.join(map(repr, _KINDS))}, got {kind!r}")
+    cls, number_keys, lagrangian_keys, all_zero = _KINDS[kind]
+    numbers = [_number(data, key) for key in number_keys]
+    if not any(numbers):
+        raise ProblemFileError(number_keys[0], all_zero)
+    lagrangians = [_parse_lagrangian(data, key) for key in lagrangian_keys]
+    problem = cls(ts, *numbers, *lagrangians, alpha, beta)
+    meta.update(zip(number_keys, numbers))
+    meta.update((key, data[key]) for key in lagrangian_keys)
 
     meta["boundary"] = {"alpha": alpha, "beta": beta}
     meta["solver"] = {"tol": tol, "max_iter": max_iter}

@@ -69,6 +69,19 @@ class DomainTag(Enum):
         return self.value[1]
 
 
+def _integer(value: object, name: str, nonnegative: bool = False) -> int:
+    """value through ``operator.index``: a count, seed or index.  One that is
+    not an integer, or is negative where it must not be, raises a DomainError
+    naming the argument."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if nonnegative and i < 0:
+        raise DomainError(f"{name} must be nonnegative, got {i}")
+    return i
+
+
 class TimeScale:
     """A finite strictly increasing set of real time points.
 
@@ -103,6 +116,7 @@ class TimeScale:
         for equal delta and nabla weights, which average the one-sided
         stencils into a centred one (measured on t*v^2 over [1, 2]).
         """
+        n = _integer(n, "n")
         if n < 2:
             raise DomainError("sampled_interval needs n >= 2")
         if not (math.isfinite(a) and math.isfinite(b)):  # before linspace warns on them
@@ -385,10 +399,7 @@ def hat_variation(ts: TimeScale, interior_index: int) -> GridFunction:
     These hats span every variation vanishing at both endpoints, so testing
     a linear condition against all of them tests it against the whole class.
     """
-    try:
-        i = operator.index(interior_index)
-    except TypeError:
-        raise DomainError(f"interior_index must be an integer, got {interior_index!r}") from None
+    i = _integer(interior_index, "interior_index")
     if not 1 <= i <= len(ts) - 2:
         raise DomainError(f"index {i} is not interior to {ts!r}")
     v = np.zeros(len(ts))

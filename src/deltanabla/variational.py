@@ -43,7 +43,7 @@ from .errors import (
     ScaleMismatchError,
 )
 from . import expressions
-from .timescale import _STENCIL, DomainTag, GridFunction, TimeScale, _one_function, _slopes
+from .timescale import _STENCIL, DomainTag, GridFunction, TimeScale, _integer, _one_function, _slopes
 
 FD_STEP = 1e-6  # central-difference step factor, times max(1, |x|)
 HESSIAN = ("yy", "yv", "vv")  # the keys of the second partials in Lagrangian._on_arrays
@@ -745,7 +745,7 @@ def local_min_probe(p: TermSumProblem, sol: Solution, n_trials: int = 1000, seed
     trial of ``_probe_objectives`` may fall below the objective at sol.y
     by more than ``PROBE_SLACK``.  The verdict, or the error raised, is the
     first failing trial's."""
-    if n_trials < 0:
-        raise DomainError(f"n_trials must be nonnegative, got {n_trials}")
+    n_trials = _integer(n_trials, "n_trials", nonnegative=True)
+    seed = _integer(seed, "seed", nonnegative=True)
     base = _in_domain(objective, p, sol.y)
     return not any(trial < base - PROBE_SLACK for trial in _probe_objectives(p, sol.y, n_trials, seed))

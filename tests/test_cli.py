@@ -18,12 +18,15 @@ from deltanabla import (
     Solution,
     Term,
     TermSumProblem,
+    delta_derivative,
     el_residual_2,
+    load_problem,
     load_problem_dict,
     local_min_probe,
     objective,
     random_scale,
     solve,
+    solve_directional,
     variational,
 )
 from deltanabla import expressions as ex
@@ -132,6 +135,44 @@ def test_zero_direction_named():
     with pytest.raises(ProblemFileError) as err:
         load_problem_dict(data)
     assert err.value.key == "u"
+
+
+DIRECTIONAL = {
+    "timescale": {"points": [1, 3, 4]},
+    "kind": "directional",
+    "u": 1.0,
+    "lagrangian": "t*v^2",
+    "boundary": {"alpha": 0.0, "beta": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (dict(EXAMPLE, gamma1=0.0, gamma2=0.0), "gamma1: gamma1 and gamma2 cannot both be zero"),
+        (dict(EXAMPLE, gamma1=-0.0, gamma2=0.0), "gamma1: gamma1 and gamma2 cannot both be zero"),
+        (dict(EXAMPLE, gamma1=0.0, gamma2=-0.0, lagrangian_delta="t*("),
+         "gamma1: gamma1 and gamma2 cannot both be zero"),
+        (dict(DIRECTIONAL, u=0.0), "u: must be nonzero"),
+        (dict(DIRECTIONAL, u=-0.0), "u: must be nonzero"),
+        (dict(EXAMPLE, kind="mystery"), "kind: expected 'delta-nabla' or 'directional', got 'mystery'"),
+        (dict(EXAMPLE, kind=["delta-nabla"]), "kind: expected 'delta-nabla' or 'directional', got ['delta-nabla']"),
+        ({k: v for k, v in DIRECTIONAL.items() if k != "lagrangian"}, "lagrangian: missing"),
+        ({k: v for k, v in EXAMPLE.items() if k != "gamma2"}, "gamma2: missing"),
+        ({k: v for k, v in EXAMPLE.items() if k != "kind"}, "kind: missing"),
+    ],
+)
+def test_validation_error_texts(data, message):
+    with pytest.raises(ProblemFileError) as err:
+        load_problem_dict(data)
+    assert str(err.value) == message
+
+
+def test_kind_keys_recorded_in_order():
+    assert list(load_problem_dict(EXAMPLE).meta) == [
+        "timescale", "gamma1", "gamma2", "lagrangian_delta", "lagrangian_nabla", "boundary", "solver"
+    ]
+    assert list(load_problem_dict(DIRECTIONAL).meta) == ["timescale", "u", "lagrangian", "boundary", "solver"]
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +388,65 @@ def test_csv_and_report_deterministic(tmp_path):
     assert a_json.read_text() == b_json.read_text()
 
 
+def reference_trajectory_csv(path, loaded, sol):
+    """The trajectory table written one row at a time: the writer that the
+    column-at-a-time one replaced, kept as the reference for its bytes."""
+    ts = sol.y.scale
+    n = len(ts)
+    slopes = delta_derivative(sol.y).values
+    r = np.broadcast_to(
+        variational._nan_outside_domain(lambda: el_residual_2(loaded.problem, sol.y).values), n - 1
+    )
+
+    def fmt(x):
+        return repr(float(x))
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "y", "y_delta", "y_nabla", "residual_el1", "residual_el2"])
+        for i, t in enumerate(ts.points):
+            writer.writerow(
+                [
+                    fmt(t),
+                    fmt(sol.y.values[i]),
+                    fmt(slopes[i]) if i < n - 1 else "",
+                    fmt(slopes[i - 1]) if i > 0 else "",
+                    fmt(r[i - 1]) if i > 0 else "",
+                    fmt(r[i]) if i < n - 1 else "",
+                ]
+            )
+
+
+# the Euler-Lagrange form's mean overflows: every residual is NaN
+OVERFLOW_RESIDUAL = dict(
+    EXAMPLE,
+    timescale={"interval": {"a": 0.0, "b": 1.0, "n": 7}},
+    gamma2=0.0,
+    lagrangian_delta="4e307*sin(4*v) + v^2",
+)
+
+
+@pytest.mark.parametrize(
+    "name", [p.name for p in sorted(DEMO_PROBLEMS.glob("*.json"))] + ["overflow", "three-points"]
+)
+def test_trajectory_csv_bytes_match_the_row_by_row_writer(tmp_path, name):
+    data = {"overflow": OVERFLOW_RESIDUAL, "three-points": EXAMPLE}.get(name)
+    problem = write_problem(tmp_path, data) if data else str(DEMO_PROBLEMS / name)
+    out = tmp_path / "traj.csv"
+    main(["solve", problem, "--out", str(out)])
+    loaded = load_problem(problem)
+    run = solve if loaded.kind == "delta-nabla" else solve_directional
+    sol = run(loaded.problem, tol=loaded.tol, max_iter=loaded.max_iter)
+    reference_trajectory_csv(tmp_path / "reference.csv", loaded, sol)
+    assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(loaded.problem.scale)
+    if name == "overflow":
+        residuals = [row[key] for row in rows for key in ("residual_el1", "residual_el2")]
+        assert set(residuals) == {"nan", ""} and residuals.count("nan") == 2 * (len(rows) - 1)
+
+
 # ---------------------------------------------------------------------------
 # identities command
 # ---------------------------------------------------------------------------
@@ -383,6 +483,27 @@ def test_cmd_identities_negative_seed_is_an_input_error(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --seed must be nonnegative\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identities", "--trials", "abc"], "deltanabla identities: error: argument --trials: invalid int value: 'abc'"),
+        (["solve"], "deltanabla solve: error: the following arguments are required: problem"),
+        (["check", "p.json", "t.csv", "--seed", "1.5"], "deltanabla check: error: argument --seed: invalid int value: '1.5'"),
+        ([], "deltanabla: error: the following arguments are required: command"),
+        (["mystery"], "deltanabla: error: argument command: invalid choice: 'mystery'"),
+    ],
+)
+def test_malformed_command_line_is_an_input_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: deltanabla")
+    assert lines[-1].startswith(message)
 
 
 # ---------------------------------------------------------------------------

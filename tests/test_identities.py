@@ -155,7 +155,8 @@ def test_suite_sees_an_integral_off_by_one_part_in_a_billion(monkeypatch, name, 
 
 
 @pytest.mark.parametrize(
-    "kwargs, argument", [({"trials": -3}, "trials"), ({"seed": -1}, "seed")]
+    "kwargs, argument",
+    [({"trials": -3}, "trials"), ({"seed": -1}, "seed"), ({"trials": 2.5}, "trials"), ({"seed": 1.5}, "seed")],
 )
 def test_suite_rejects_bad_arguments_up_front(kwargs, argument):
     with pytest.raises(DomainError, match=f"^{argument} "):
@@ -164,3 +165,4 @@ def test_suite_rejects_bad_arguments_up_front(kwargs, argument):
 
 def test_suite_boundary_arguments_are_valid():
     assert identity_suite(trials=0) == dict.fromkeys(IDENTITY_NAMES, 0.0)
+    assert identity_suite(trials=np.int64(2), seed=np.uint8(1)) == identity_suite(trials=2, seed=1)

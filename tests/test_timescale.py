@@ -122,6 +122,9 @@ def test_sampled_interval():
         TimeScale.sampled_interval(1.0, 0.0, 5)
     with pytest.raises(DomainError):
         TimeScale.sampled_interval(0.0, 1.0, 1)
+    with pytest.raises(DomainError, match="^n must be an integer, got 2.5$"):
+        TimeScale.sampled_interval(0.0, 1.0, 2.5)
+    assert len(TimeScale.sampled_interval(0.0, 1.0, np.int64(4))) == 4
     # checked before linspace, whose warning filterwarnings = error would raise
     for a, b in [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)]:
         with pytest.raises(DomainError, match="finite a and b"):

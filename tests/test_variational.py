@@ -1348,3 +1348,21 @@ def test_probe_rejects_a_negative_trial_count():
     with pytest.raises(DomainError, match="n_trials must be nonnegative, got -3"):
         local_min_probe(p, solve(p), n_trials=-3)
 
+
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_trials": 2.5}, "n_trials must be an integer, got 2.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ],
+)
+def test_probe_names_a_count_or_seed_that_is_not_a_nonnegative_integer(kwargs, message):
+    p = example_problem(1.0, 1.0)
+    sol = solve(p)
+    with pytest.raises(DomainError) as err:
+        local_min_probe(p, sol, **kwargs)
+    assert str(err.value) == message
+    assert local_min_probe(p, sol, n_trials=np.int64(20), seed=np.uint8(3))
