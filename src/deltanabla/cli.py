@@ -184,10 +184,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     p = loaded.problem
     value, r, ok = _verdict(p, y, loaded.tol)  # solve's converged; value is the probe's base
     print(f"residuals: el1={r:.3e} el2={r:.3e} (tol={loaded.tol:g})")
-    if loaded.kind == "directional":
-        worst = _max_abs_residual(directional_el_residual, p, y)
-        print(f"directional residual: {worst:.3e}")
-        ok = ok and worst <= loaded.tol  # NaN fails
+    if loaded.kind == "directional":  # shown, not judged: solve does not ask it to be within tol
+        print(f"directional residual: {_max_abs_residual(directional_el_residual, p, y):.3e}")
     if math.isnan(value):
         print("objective=nan: no probe")
     else:

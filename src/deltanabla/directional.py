@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .extension import _finite_direction
+from .extension import _direction
 from .timescale import (
     _STENCIL,
     GridFunction,
     TimeScale,
+    _integral,
     _slopes,
-    delta_integral,
-    nabla_integral,
     shift_rho,
     shift_sigma,
 )
@@ -56,21 +55,16 @@ __all__ = [
 
 def d_u_integral(f: GridFunction, u: float) -> float:
     """u times the delta integral of f over [a, b] for u >= 0, u times the
-    nabla integral for u <= 0 (0 for u = 0, where both branches agree)."""
-    _finite_direction(u)
+    nabla integral for u < 0 (0 for u = 0, where both kinds agree)."""
+    kind = _direction(u)
     if u == 0.0:
         return 0.0
-    if u > 0.0:
-        return u * delta_integral(f)
-    return u * nabla_integral(f)
+    return u * _integral(f, None, None, kind)
 
 
 def shifted_composition(y: GridFunction, u: float) -> GridFunction:
-    """u * (y o sigma) for u >= 0, u * (y o rho) for u <= 0."""
-    _finite_direction(u)
-    if u >= 0.0:
-        return u * shift_sigma(y)
-    return u * shift_rho(y)
+    """u * (y o sigma) for u >= 0, u * (y o rho) for u < 0."""
+    return u * {"delta": shift_sigma, "nabla": shift_rho}[_direction(u)](y)
 
 
 def reduced_lagrangian(L: Lagrangian, u: float) -> Lagrangian:
@@ -113,12 +107,12 @@ class DirectionalProblem(TermSumProblem):
     ``u`` and the inner ``L`` are kept for the directional residual."""
 
     def __init__(self, scale: TimeScale, u: float, L: Lagrangian, alpha: float, beta: float):
-        _finite_direction(u)
+        kind = _direction(u)
         if u == 0.0:
             raise DomainError("direction u must be nonzero; for u = 0 there is nothing to extremize")
         self.u = float(u)
         self.L = L
-        term = Term(1.0, reduced_lagrangian(L, self.u), "delta" if u > 0 else "nabla")
+        term = Term(1.0, reduced_lagrangian(L, self.u), kind)
         super().__init__(scale, [term], alpha, beta)
 
 

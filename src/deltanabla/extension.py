@@ -10,12 +10,10 @@ u * f^Delta(t) to the right and u * f^nabla(t) to the left.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
-from .timescale import GridFunction, _one_function, _slopes
+from .timescale import GridFunction, _derivative, _one_function, _real, _slopes
 
 __all__ = [
     "PLExtension",
@@ -58,10 +56,10 @@ class PLExtension:
         return float(alpha * vals[i - 1] + beta * vals[i])
 
 
-def _finite_direction(u: float) -> None:
-    """Reject a direction u that is NaN or infinite."""
-    if not math.isfinite(u):
-        raise DomainError(f"direction u must be finite, got {u!r}")
+def _direction(u: float) -> str:
+    """The kind that the direction u picks: "delta" for u >= 0, "nabla" for
+    u < 0.  u must be a finite real number, by ``_real``'s rule."""
+    return "delta" if _real(u, "direction u") >= 0.0 else "nabla"
 
 
 def extend(f: GridFunction) -> PLExtension:
@@ -79,14 +77,15 @@ def directional_derivative(
     """One-sided derivative of the extension of f at t in direction u.
 
     Requires t strictly between a and b (both neighbours must exist).  The
-    closed form is u * f^Delta(t) for u >= 0 and u * f^nabla(t) for u <= 0;
+    closed form is u * f^Delta(t) for u >= 0 and u * f^nabla(t) for u < 0;
     u = 0 gives 0.  ``method="quotient"`` instead evaluates the defining
-    limit quotient (fbar(t + h*u) - fbar(t)) / h with an h small enough that
-    t + h*u stays inside the adjacent gap, where the extension is affine and
-    the quotient is exact.
+    limit quotient (fbar(t + h*u) - fbar(t)) / h.  h must be a positive real
+    with h*|u| at most the gap on u's side of t (mu(t) for u > 0, nu(t) for
+    u < 0), where the extension is affine and the quotient exact; it
+    defaults to min(mu(t), nu(t)) / (8 * max(1, |u|)).
     """
     _one_function(f, "directional_derivative's f")
-    _finite_direction(u)
+    kind = _direction(u)
     ts = f.scale
     i = ts.index(t)
     if i == 0 or i == len(ts) - 1:
@@ -94,11 +93,12 @@ def directional_derivative(
     if u == 0.0:
         return 0.0
     if method == "closed":
-        j = i if u > 0 else i - 1  # the gap on u's side of t
-        return u * float(secant_slopes(f)[j])
+        return u * _derivative(f, kind).value_at(t)
     if method == "quotient":
         if h is None:
             h = min(ts.mu(t), ts.nu(t)) / (8.0 * max(1.0, abs(u)))
+        elif not 0.0 < _real(h, "h") * abs(u) <= {"delta": ts.mu, "nabla": ts.nu}[kind](t):
+            raise DomainError(f"h must be positive with h*|u| at most the gap on u's side of t, got {h!r}")
         fbar = extend(f)
         return (fbar(t + h * u) - fbar(t)) / h
     raise ValueError(f"method must be 'closed' or 'quotient', got {method!r}")

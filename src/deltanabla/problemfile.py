@@ -21,14 +21,13 @@ Validation failures raise ProblemFileError carrying the offending key.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .errors import DomainError, ExpressionSyntaxError, ProblemFileError
 from .directional import DirectionalProblem
-from .timescale import TimeScale
+from .timescale import TimeScale, _real
 from .variational import DeltaNablaProblem, Lagrangian
 
 DEFAULT_TOL = 1e-10
@@ -64,16 +63,11 @@ def _number(data: dict, key: str) -> float:
 
 
 def _finite(value: Any, key: str) -> float:
-    """value as a float, when it is a finite JSON number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFileError(key, f"expected a number, got {value!r}")
+    """value as a float, by ``_real``'s rule, with its refusal keyed."""
     try:
-        x = float(value)
-    except OverflowError:  # an integer too large for a float
-        x = math.inf
-    if not math.isfinite(x):
-        raise ProblemFileError(key, f"expected a finite number, got {value!r}")
-    return x
+        return _real(value, key)
+    except DomainError:
+        raise ProblemFileError(key, f"expected a finite number, got {value!r}") from None
 
 
 def _build_scale(data: dict) -> tuple[TimeScale, dict]:

@@ -34,6 +34,7 @@ stack, so the matrix is one derivative call.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -69,12 +70,27 @@ class DomainTag(Enum):
         return self.value[1]
 
 
-def _integer(value: object, name: str, nonnegative: bool = False) -> int:
-    """value through ``operator.index``: a count, seed or index.  One that is
-    not an integer, or is negative where it must not be, raises a DomainError
-    naming the argument."""
+def _real(value: object, name: str) -> float:
+    """value as a float: a finite real number that is not a bool.  An int
+    too large for a float counts as not finite.  Anything else raises a
+    DomainError naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
-        i = operator.index(value)
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _integer(value: object, name: str, nonnegative: bool = False) -> int:
+    """value through ``operator.index``: a count, seed or index that is not
+    a bool.  One that is not an integer, or is negative where it must not
+    be, raises a DomainError naming the argument."""
+    try:
+        i = operator.index(None if isinstance(value, bool) else value)  # a bool fails like None
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if nonnegative and i < 0:
@@ -119,8 +135,7 @@ class TimeScale:
         n = _integer(n, "n")
         if n < 2:
             raise DomainError("sampled_interval needs n >= 2")
-        if not (math.isfinite(a) and math.isfinite(b)):  # before linspace warns on them
-            raise DomainError(f"sampled_interval needs finite a and b, got {a!r} and {b!r}")
+        a, b = _real(a, "a"), _real(b, "b")  # before linspace warns on non-finite ends
         if not b > a:
             raise DomainError("sampled_interval needs a < b")
         return cls(np.linspace(a, b, n))

@@ -43,7 +43,7 @@ from .errors import (
     ScaleMismatchError,
 )
 from . import expressions
-from .timescale import _STENCIL, DomainTag, GridFunction, TimeScale, _integer, _one_function, _slopes
+from .timescale import _STENCIL, DomainTag, GridFunction, TimeScale, _integer, _one_function, _real, _slopes
 
 FD_STEP = 1e-6  # central-difference step factor, times max(1, |x|)
 HESSIAN = ("yy", "yv", "vv")  # the keys of the second partials in Lagrangian._on_arrays
@@ -276,16 +276,13 @@ class TermSumProblem:
         if len(scale) < 3:
             raise DomainError("the scale needs at least one interior point")
         self.terms = tuple(terms)
-        numbers = [(f"weight of term {i}", term.weight) for i, term in enumerate(self.terms)]
-        for name, x in numbers + [("alpha", alpha), ("beta", beta)]:
-            if not math.isfinite(x):
-                raise DomainError(f"{name} must be finite, got {x!r}")
+        for i, term in enumerate(self.terms):
+            _real(term.weight, f"weight of term {i}")
+        self.alpha, self.beta = _real(alpha, "alpha"), _real(beta, "beta")
         self.active_terms = tuple(term for term in self.terms if term.weight != 0.0)
         if not self.active_terms:
             raise DomainError("all term weights vanish; nothing to extremize")
         self.scale = scale
-        self.alpha = float(alpha)
-        self.beta = float(beta)
 
 
 class DeltaNablaProblem(TermSumProblem):
@@ -526,10 +523,11 @@ def solve(
     tol must be finite and positive, and max_iter an integer of at least 1,
     as in a problem file; anything else raises a DomainError naming it.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and positive, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise DomainError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
+    tol, max_iter = _real(tol, "tol"), _integer(max_iter, "max_iter")
+    if tol <= 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     if init is None:
         x = linear_interpolant(p).values[1:-1].copy()
     else:

@@ -1,0 +1,87 @@
+"""One rule per kind of argument, at every public count and real.
+
+A count, seed or index is an integer that is not a bool; a real is a finite
+real number that is not a bool.  A bool, a numpy bool or a numeric string
+raises a DomainError whose text starts with the argument's name, and numpy
+integers (and, for reals, numpy floats) pass.
+"""
+
+import numpy as np
+import pytest
+
+from deltanabla import (
+    DeltaNablaProblem,
+    DirectionalProblem,
+    DomainError,
+    GridFunction,
+    Lagrangian,
+    Term,
+    TermSumProblem,
+    TimeScale,
+    d_u_integral,
+    directional_derivative,
+    hat_variation,
+    identity_suite,
+    local_min_probe,
+    shifted_composition,
+    solve,
+    solve_directional,
+)
+
+L = Lagrangian.from_expression("v^2 + y^2")
+TS = TimeScale([0.0, 0.5, 1.0, 1.5, 2.0])
+P = DeltaNablaProblem(TS, 1.0, 1.0, L, L, 0.0, 1.0)
+SOL = solve(P)
+DP = DirectionalProblem(TS, 1.0, L, 0.0, 1.0)
+F = GridFunction(TimeScale([0.0, 1.0, 2.0, 3.0]), [0.0, 1.0, 4.0, 9.0])
+
+# (name in the error, call with the argument set to x, a valid value)
+COUNTS = {
+    "hat_variation-interior_index": ("interior_index", lambda x: hat_variation(TS, x), 1),
+    "sampled_interval-n": ("n", lambda x: TimeScale.sampled_interval(0.0, 1.0, x), 3),
+    "identity_suite-trials": ("trials", lambda x: identity_suite(trials=x), 2),
+    "identity_suite-seed": ("seed", lambda x: identity_suite(trials=1, seed=x), 1),
+    "local_min_probe-n_trials": ("n_trials", lambda x: local_min_probe(P, SOL, n_trials=x), 5),
+    "local_min_probe-seed": ("seed", lambda x: local_min_probe(P, SOL, n_trials=5, seed=x), 1),
+    "solve-max_iter": ("max_iter", lambda x: solve(P, max_iter=x), 50),
+    "solve_directional-max_iter": ("max_iter", lambda x: solve_directional(DP, max_iter=x), 50),
+}
+REALS = {
+    "sampled_interval-a": ("a", lambda x: TimeScale.sampled_interval(x, 2.0, 3), 1),
+    "sampled_interval-b": ("b", lambda x: TimeScale.sampled_interval(0.0, x, 3), 1),
+    "DeltaNablaProblem-gamma1": ("weight of term 0", lambda x: DeltaNablaProblem(TS, x, 1.0, L, L, 0.0, 1.0), 1),
+    "DeltaNablaProblem-gamma2": ("weight of term 1", lambda x: DeltaNablaProblem(TS, 1.0, x, L, L, 0.0, 1.0), 1),
+    "TermSumProblem-weight": ("weight of term 0", lambda x: TermSumProblem(TS, [Term(x, L, "nabla")], 0.0, 1.0), 1),
+    "alpha": ("alpha", lambda x: DeltaNablaProblem(TS, 1.0, 1.0, L, L, x, 1.0), 1),
+    "beta": ("beta", lambda x: DeltaNablaProblem(TS, 1.0, 1.0, L, L, 0.0, x), 1),
+    "solve-tol": ("tol", lambda x: solve(P, tol=x), 1),
+    "solve_directional-tol": ("tol", lambda x: solve_directional(DP, tol=x), 1),
+    "DirectionalProblem-u": ("direction u", lambda x: DirectionalProblem(TS, x, L, 0.0, 1.0), 1),
+    "d_u_integral-u": ("direction u", lambda x: d_u_integral(F, x), 1),
+    "shifted_composition-u": ("direction u", lambda x: shifted_composition(F, x), 1),
+    "directional_derivative-u": ("direction u", lambda x: directional_derivative(F, 1.0, x), 1),
+    "directional_derivative-h": ("h", lambda x: directional_derivative(F, 1.0, 1.0, method="quotient", h=x), 1),
+}
+NOT_ARGUMENTS = [True, np.bool_(True), "1"]
+
+
+@pytest.mark.parametrize("bad", NOT_ARGUMENTS, ids=repr)
+@pytest.mark.parametrize("name, call, good", COUNTS.values(), ids=COUNTS)
+def test_a_count_is_an_integer_that_is_not_a_bool(name, call, good, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got {bad!r}$"):
+        call(bad)
+    call(good)
+    call(np.int64(good))
+
+
+@pytest.mark.parametrize("bad", NOT_ARGUMENTS, ids=repr)
+@pytest.mark.parametrize("name, call, good", REALS.values(), ids=REALS)
+def test_a_real_is_a_finite_number_that_is_not_a_bool(name, call, good, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be a real number, got {bad!r}$"):
+        call(bad)
+    # an int too large for a float counts as not finite, as in problem files
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got 1000"):
+        call(10**400)
+    call(good)
+    call(np.int64(good))
+    call(np.float64(good))

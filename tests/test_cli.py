@@ -365,6 +365,27 @@ def test_cmd_check_objective_outside_the_domain_exit_2(tmp_path, capsys, data, r
         ]
 
 
+@pytest.mark.parametrize("u", [8.0, -8.0])
+def test_cmd_check_gives_solves_verdict_on_a_directional_problem(tmp_path, capsys, u):
+    # solve converges with el2 within tol, while the gap-differenced
+    # directional residual of the same condition sits above tol by
+    # rounding: check prints it and does not judge it
+    data = {
+        "kind": "directional",
+        "timescale": {"interval": {"a": 1.0, "b": 2.0, "n": 81}},
+        "u": u,
+        "lagrangian": "t*v^2 + y^2",
+        "boundary": {"alpha": 0.0, "beta": 1.0},
+    }
+    problem, out_csv = write_problem(tmp_path, data), str(tmp_path / "traj.csv")
+    assert main(["solve", problem, "--out", out_csv]) == 0
+    capsys.readouterr()
+    assert main(["check", problem, out_csv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[1].removeprefix("directional residual: ")) > 1e-10
+    assert lines[-1] == "stationary within tolerance"
+
+
 def test_cmd_check_trial_overflow_is_an_input_error(tmp_path, capsys):
     # the objective at y = 0 is 0; at any trial L is near 1e308 on each gap
     # and the sum overflows, reported like a trial that leaves the domain

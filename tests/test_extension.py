@@ -1,5 +1,7 @@
 """Piecewise-linear extension, directional derivatives, epigraph, convexity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,25 @@ def test_quotient_mode_exact_within_gap_and_converges():
             q = directional_derivative(f, t, u, method="quotient", h=h)
             errs.append(abs(closed - q))
         assert errs[-1] <= 1e-9 * max(1.0, abs(closed))
+
+
+@pytest.mark.parametrize(
+    "u, h",
+    [(1.0, -0.1), (1.0, 0.0), (1.0, 2.5), (-1.0, 1.5), (0.5, 4.5), (1.0, math.nan), (1.0, math.inf)],
+)
+def test_quotient_step_must_keep_t_plus_hu_in_the_gap_on_us_side(u, h):
+    # on {0, 1, 3, 6} the gap right of t = 1 is 2 and the gap left of it 1;
+    # a step past the gap reads the next segment's slope, a negative step
+    # the other side's, and h = 0 divides by zero
+    f = GridFunction(TimeScale([0.0, 1.0, 3.0, 6.0]), [0.0, 1.0, 9.0, 36.0])
+    with pytest.raises(DomainError, match="^h must be "):
+        directional_derivative(f, 1.0, u, method="quotient", h=h)
+
+
+@pytest.mark.parametrize("u, h", [(1.0, 2.0), (1.0, 1.5), (-1.0, 1.0), (0.5, 4.0), (-2.0, 0.5)])
+def test_quotient_step_up_to_the_gap_on_us_side_is_exact(u, h):
+    f = GridFunction(TimeScale([0.0, 1.0, 3.0, 6.0]), [0.0, 1.0, 9.0, 36.0])
+    assert directional_derivative(f, 1.0, u, method="quotient", h=h) == directional_derivative(f, 1.0, u)
 
 
 # ---------------------------------------------------------------------------

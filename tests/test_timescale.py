@@ -126,8 +126,8 @@ def test_sampled_interval():
         TimeScale.sampled_interval(0.0, 1.0, 2.5)
     assert len(TimeScale.sampled_interval(0.0, 1.0, np.int64(4))) == 4
     # checked before linspace, whose warning filterwarnings = error would raise
-    for a, b in [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)]:
-        with pytest.raises(DomainError, match="finite a and b"):
+    for a, b, name in [(0.0, math.inf, "b"), (-math.inf, 0.0, "a"), (math.nan, 1.0, "a"), (0.0, math.nan, "b")]:
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got (inf|-inf|nan)$"):
             TimeScale.sampled_interval(a, b, 5)
 
 
