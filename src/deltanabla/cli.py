@@ -27,7 +27,7 @@ from .directional import (
 from .errors import DomainError, EvaluationError, ProblemFileError
 from .identities import FAMILIES, identity_suite
 from .problemfile import LoadedProblem, load_problem
-from .timescale import GridFunction, delta_derivative
+from .timescale import GridFunction, _integer, delta_derivative
 from .variational import (
     PROBE_SLACK,
     Solution,
@@ -110,15 +110,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
     if args.trials == 0:
         print("warning: --trials 0 checks nothing; vacuous pass")
         return EXIT_OK
-    if args.trials < 0:
-        print("error: --trials must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
     worst = identity_suite(trials=args.trials, seed=args.seed)
     all_ok = True
     print(f"identity suite: {args.trials} random scales, seed {args.seed}")
@@ -173,12 +167,6 @@ def _read_trajectory_csv(path: str, loaded: LoadedProblem) -> GridFunction:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.probe_trials < 0:
-        print("error: --probe-trials must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
-    if args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
     loaded = load_problem(args.problem)
     y = _read_trajectory_csv(args.trajectory, loaded)
     p = loaded.problem
@@ -213,6 +201,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """The value of --seed, --trials or --probe-trials: what ``int`` reads, if at least 0."""
+    try:
+        return _integer(int(text), "count", nonnegative=True)
+    except ValueError:  # int's, or _integer's DomainError: one usage error
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="deltanabla",
@@ -227,15 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(fn=cmd_solve)
 
     p_ident = sub.add_parser("identities", help="run the calculus identity suite")
-    p_ident.add_argument("--seed", type=int, default=0)
-    p_ident.add_argument("--trials", type=int, default=200)
+    p_ident.add_argument("--seed", type=_count, default=0)
+    p_ident.add_argument("--trials", type=_count, default=200)
     p_ident.set_defaults(fn=cmd_identities)
 
     p_check = sub.add_parser("check", help="audit a trajectory against a problem")
     p_check.add_argument("problem", help="path to a JSON problem file")
     p_check.add_argument("trajectory", help="CSV with t and y columns")
-    p_check.add_argument("--probe-trials", type=int, default=200)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--probe-trials", type=_count, default=200)
+    p_check.add_argument("--seed", type=_count, default=0)
     p_check.set_defaults(fn=cmd_check)
     return parser
 

@@ -45,7 +45,7 @@ class PLExtension:
         _one_function(self.base, "an extended function")
         pts = self.base.scale.points
         vals = self.base.values
-        if not pts[0] <= t <= pts[-1]:  # NaN too
+        if not pts[0] <= _real(t, "t") <= pts[-1]:
             raise DomainError(f"t={t!r} outside [{float(pts[0])!r}, {float(pts[-1])!r}]")
         i = int(np.searchsorted(pts, t))
         if i < pts.size and pts[i] == t:

@@ -15,10 +15,12 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import DomainError
 from .timescale import (
     GridFunction,
     TimeScale,
     _integer,
+    _real,
     delta_derivative,
     delta_integral,
     nabla_derivative,
@@ -57,9 +59,14 @@ def random_scale(
     min_gap: float = 1e-3,
     max_gap: float = 10.0,
 ) -> TimeScale:
-    """A random finite scale with log-uniform gaps."""
-    n = int(rng.integers(min_points, max_points + 1))
-    gaps = np.exp(rng.uniform(np.log(min_gap), np.log(max_gap), n - 1))
+    """A random finite scale of min_points to max_points points, with log-uniform gaps in [min_gap, max_gap]."""
+    lo, hi = _integer(min_points, "min_points"), _integer(max_points, "max_points")
+    small, large = _real(min_gap, "min_gap"), _real(max_gap, "max_gap")
+    if not (1 <= lo <= hi and 0.0 < small <= large):
+        raise DomainError("random_scale needs 1 <= min_points <= max_points and 0 < min_gap <= max_gap, "
+                          f"got {lo}, {hi}, {small!r} and {large!r}")
+    n = int(rng.integers(lo, hi + 1))
+    gaps = np.exp(rng.uniform(np.log(small), np.log(large), n - 1))
     start = rng.uniform(-5.0, 5.0)
     return TimeScale(start + np.concatenate([[0.0], np.cumsum(gaps)]))
 

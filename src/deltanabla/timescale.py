@@ -71,10 +71,10 @@ class DomainTag(Enum):
 
 
 def _real(value: object, name: str) -> float:
-    """value as a float: a finite real number that is not a bool.  An int
-    too large for a float counts as not finite.  Anything else raises a
-    DomainError naming the argument."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """value as a float: a finite real number that is not a bool (a float
+    skips the costly ABC test).  An int too large for a float counts as not
+    finite.  Anything else raises a DomainError naming the argument."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)
@@ -175,15 +175,17 @@ class TimeScale:
         return hash(self.points.tobytes())
 
     def index(self, t: float) -> int:
-        """Index of t in the point set; exact comparison, no tolerance."""
-        i = int(self.points.searchsorted(t))
+        """Index of t, a real number by ``_real``'s rule, in the point set; exact comparison."""
+        i = int(self.points.searchsorted(_real(t, "t")))
         if i < len(self) and self.points[i] == t:
             return i
         raise DomainError(f"t={t!r} is not a point of {self!r}")
 
-    def __contains__(self, t: float) -> bool:
-        i = int(self.points.searchsorted(t))
-        return i < len(self) and self.points[i] == t
+    def __contains__(self, t: object) -> bool:
+        try:
+            return self.index(t) >= 0
+        except DomainError:
+            return False
 
     # -- jump operators and graininess ------------------------------------
 
@@ -260,7 +262,7 @@ class GridFunction:
 
     @classmethod
     def constant(cls, scale: TimeScale, c: float) -> "GridFunction":
-        return cls(scale, np.full(len(scale), float(c)))
+        return cls(scale, np.full(len(scale), _real(c, "c")))
 
     def value_at(self, t: float) -> float | np.ndarray:
         """The value at t: a float, or one value per row of a stack."""

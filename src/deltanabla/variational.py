@@ -63,9 +63,10 @@ class Lagrangian:
     """An integrand L(t, y, v) with partial derivatives in slots 2 and 3.
 
     Partials are analytic when the Lagrangian comes from a parsed
-    expression (or is given explicit derivative callables) and fall back
-    to central finite differences otherwise; ``source`` records which:
-    "analytic" when ``d2`` is given, "numeric" when it is not.
+    expression (or is given explicit derivative callables); a partial not
+    given is a central difference of the guarded integrand, checked like
+    a given one.  ``source`` records which: "analytic" when ``d2`` is
+    given, "numeric" when it is not.
     The value and the partials take Python floats.  ``values``,
     ``partials`` and ``hessian`` take arrays, and all three follow one
     rule, whatever built the Lagrangian: one unchecked fast pass over
@@ -87,8 +88,8 @@ class Lagrangian:
         if not all(f is None or callable(f) for f in (d2, d3)):
             raise ConfigurationError("Lagrangian needs callable partials d2 and d3, or None")
         self._fn = fn
-        self._d2 = d2
-        self._d3 = d3
+        self._d2 = d2 if d2 is not None else lambda t, y, v: _central(self, t, y, v, _fd_step(y), 0.0)
+        self._d3 = d3 if d3 is not None else lambda t, y, v: _central(self, t, y, v, 0.0, _fd_step(v))
         self.source = "analytic" if d2 is not None else "numeric"
         # the fast array pass (keys, t, y, v) -> arrays; trees and text: an expression's
         self._fast = self._by_scalars
@@ -130,23 +131,17 @@ class Lagrangian:
 
     def d2(self, t: float, y: float, v: float) -> float:
         """Partial derivative with respect to the second slot."""
-        if self._d2 is not None:
-            return self._guard(self._d2, t, y, v, "d2")
-        return _central(self, t, y, v, _fd_step(y), 0.0)
+        return self._guard(self._d2, t, y, v, "d2")
 
     def d3(self, t: float, y: float, v: float) -> float:
         """Partial derivative with respect to the third slot."""
-        if self._d3 is not None:
-            return self._guard(self._d3, t, y, v, "d3")
-        return _central(self, t, y, v, 0.0, _fd_step(v))
+        return self._guard(self._d3, t, y, v, "d3")
 
     def _raw(self, key: str) -> Callable[[float, float, float], float]:
         """The unchecked scalar function of ``key``, L, d2 or d3: the
         callable in its slot, read now so that a rebound slot is the one
-        called, or the finite-difference method standing in for a missing
-        partial."""
-        fn = {"L": self._fn, "d2": self._d2, "d3": self._d3}[key]
-        return fn if fn is not None else getattr(self, key)
+        called."""
+        return {"L": self._fn, "d2": self._d2, "d3": self._d3}[key]
 
     def _by_scalars(self, keys: tuple[str, ...], t, y, v) -> tuple[np.ndarray, ...]:
         """The fast pass of a Lagrangian built from callables: the raw

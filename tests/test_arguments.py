@@ -1,9 +1,10 @@
 """One rule per kind of argument, at every public count and real.
 
-A count, seed or index is an integer that is not a bool; a real is a finite
-real number that is not a bool.  A bool, a numpy bool or a numeric string
-raises a DomainError whose text starts with the argument's name, and numpy
-integers (and, for reals, numpy floats) pass.
+A count, seed or index is an integer that is not a bool; a real, a time
+point among them, is a finite real number that is not a bool.  A bool, a
+numpy bool or a numeric string raises a DomainError whose text starts with
+the argument's name, and numpy integers (and, for reals, numpy floats)
+pass.
 """
 
 import numpy as np
@@ -19,10 +20,14 @@ from deltanabla import (
     TermSumProblem,
     TimeScale,
     d_u_integral,
+    delta_integral,
     directional_derivative,
+    extend,
     hat_variation,
     identity_suite,
     local_min_probe,
+    nabla_integral,
+    random_scale,
     shifted_composition,
     solve,
     solve_directional,
@@ -35,6 +40,11 @@ SOL = solve(P)
 DP = DirectionalProblem(TS, 1.0, L, 0.0, 1.0)
 F = GridFunction(TimeScale([0.0, 1.0, 2.0, 3.0]), [0.0, 1.0, 4.0, 9.0])
 
+
+def rng():
+    return np.random.default_rng(0)
+
+
 # (name in the error, call with the argument set to x, a valid value)
 COUNTS = {
     "hat_variation-interior_index": ("interior_index", lambda x: hat_variation(TS, x), 1),
@@ -45,6 +55,8 @@ COUNTS = {
     "local_min_probe-seed": ("seed", lambda x: local_min_probe(P, SOL, n_trials=5, seed=x), 1),
     "solve-max_iter": ("max_iter", lambda x: solve(P, max_iter=x), 50),
     "solve_directional-max_iter": ("max_iter", lambda x: solve_directional(DP, max_iter=x), 50),
+    "random_scale-min_points": ("min_points", lambda x: random_scale(rng(), min_points=x), 2),
+    "random_scale-max_points": ("max_points", lambda x: random_scale(rng(), max_points=x), 5),
 }
 REALS = {
     "sampled_interval-a": ("a", lambda x: TimeScale.sampled_interval(x, 2.0, 3), 1),
@@ -61,6 +73,17 @@ REALS = {
     "shifted_composition-u": ("direction u", lambda x: shifted_composition(F, x), 1),
     "directional_derivative-u": ("direction u", lambda x: directional_derivative(F, 1.0, x), 1),
     "directional_derivative-h": ("h", lambda x: directional_derivative(F, 1.0, 1.0, method="quotient", h=x), 1),
+    "random_scale-min_gap": ("min_gap", lambda x: random_scale(rng(), min_gap=x), 1),
+    "random_scale-max_gap": ("max_gap", lambda x: random_scale(rng(), max_gap=x), 1),
+    "GridFunction.constant-c": ("c", lambda x: GridFunction.constant(TS, x), 2),
+    # a time point: looked up in the scale, or placed in [a, b] by the extension
+    "sigma-t": ("t", lambda x: F.scale.sigma(x), 1),
+    "rho-t": ("t", lambda x: F.scale.rho(x), 1),
+    "value_at-t": ("t", lambda x: F.value_at(x), 1),
+    "delta_integral-lo": ("t", lambda x: delta_integral(F, x), 1),
+    "nabla_integral-hi": ("t", lambda x: nabla_integral(F, None, x), 1),
+    "directional_derivative-t": ("t", lambda x: directional_derivative(F, x, 1.0), 1),
+    "PLExtension-t": ("t", lambda x: extend(F)(x), 1),
 }
 NOT_ARGUMENTS = [True, np.bool_(True), "1"]
 
@@ -85,3 +108,29 @@ def test_a_real_is_a_finite_number_that_is_not_a_bool(name, call, good, bad):
     call(good)
     call(np.int64(good))
     call(np.float64(good))
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(True), "1", 10**400, float("nan"), 1.5, 4.0])
+def test_a_time_point_outside_the_rule_or_the_scale_is_not_in_it(bad):
+    # membership answers through index: False wherever index raises
+    assert bad not in F.scale
+    assert 1 in F.scale and np.float64(2.0) in F.scale and 3.0 in F.scale
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"min_points": 0},
+        {"min_points": -3, "max_points": 5},
+        {"min_points": 6, "max_points": 5},
+        {"min_gap": 0.0},
+        {"min_gap": -1.0},
+        {"min_gap": 2.0, "max_gap": 1.0},
+    ],
+)
+def test_random_scale_needs_at_least_one_point_and_positive_ordered_gaps(kwargs):
+    with pytest.raises(DomainError, match=r"^random_scale needs 1 <= min_points <= max_points and 0 < min_gap <= max_gap, got "):
+        random_scale(rng(), **kwargs)
+    # the edges of the rule pass: one point, and equal gaps
+    assert len(random_scale(rng(), min_points=1, max_points=1)) == 1
+    assert np.allclose(random_scale(rng(), min_gap=0.5, max_gap=0.5).gaps(), 0.5)

@@ -30,7 +30,7 @@ from deltanabla import (
     variational,
 )
 from deltanabla import expressions as ex
-from deltanabla.cli import main
+from deltanabla.cli import build_parser, main
 from deltanabla.variational import _probe_objectives
 from conftest import random_expression
 
@@ -492,39 +492,64 @@ def test_cmd_identities_seed_reproducible(capsys):
     assert first == second
 
 
-def test_cmd_identities_negative_trials_is_an_input_error(capsys):
-    assert main(["identities", "--trials", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: --trials must be nonnegative\n"
-    assert captured.out == ""
-
-
-def test_cmd_identities_negative_seed_is_an_input_error(capsys):
-    assert main(["identities", "--seed", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: --seed must be nonnegative\n"
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["identities", "--trials", "abc"], "deltanabla identities: error: argument --trials: invalid int value: 'abc'"),
-        (["solve"], "deltanabla solve: error: the following arguments are required: problem"),
-        (["check", "p.json", "t.csv", "--seed", "1.5"], "deltanabla check: error: argument --seed: invalid int value: '1.5'"),
-        ([], "deltanabla: error: the following arguments are required: command"),
-        (["mystery"], "deltanabla: error: argument command: invalid choice: 'mystery'"),
-    ],
-)
-def test_malformed_command_line_is_an_input_error(capsys, argv, message):
+def usage_error(capsys, argv: list[str], usage: str = "usage: deltanabla") -> str:
+    """The last stderr line of a command line refused as a usage error:
+    exit code 1, the usage line first on stderr, nothing on stdout."""
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert lines[0].startswith("usage: deltanabla")
-    assert lines[-1].startswith(message)
+    assert lines[0].startswith(usage)
+    return lines[-1]
+
+
+def test_cmd_identities_negative_trials_is_an_input_error(capsys):
+    assert usage_error(capsys, ["identities", "--trials", "-1"], "usage: deltanabla identities") == (
+        "deltanabla identities: error: argument --trials: expected a nonnegative integer, got '-1'"
+    )
+
+
+def test_cmd_identities_negative_seed_is_an_input_error(capsys):
+    assert usage_error(capsys, ["identities", "--seed", "-1"], "usage: deltanabla identities") == (
+        "deltanabla identities: error: argument --seed: expected a nonnegative integer, got '-1'"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identities", "--trials", "abc"], "deltanabla identities: error: argument --trials: expected a nonnegative integer, got 'abc'"),
+        (["solve"], "deltanabla solve: error: the following arguments are required: problem"),
+        (["check", "p.json", "t.csv", "--seed", "1.5"], "deltanabla check: error: argument --seed: expected a nonnegative integer, got '1.5'"),
+        ([], "deltanabla: error: the following arguments are required: command"),
+        (["mystery"], "deltanabla: error: argument command: invalid choice: 'mystery'"),
+    ],
+)
+def test_malformed_command_line_is_an_input_error(capsys, argv, message):
+    assert usage_error(capsys, argv).startswith(message)
+
+
+# each count flag after the arguments its command requires
+COUNT_FLAGS = [["identities", "--seed"], ["identities", "--trials"],
+               ["check", "p.json", "t.csv", "--probe-trials"], ["check", "p.json", "t.csv", "--seed"]]
+
+
+@pytest.mark.parametrize("text", ["0", "7", "+3", " 12 ", "1_000", "007", "-0", "\uff15"])
+@pytest.mark.parametrize("flag", COUNT_FLAGS)
+def test_count_flags_take_every_integer_int_reads_that_is_not_negative(flag, text):
+    args = build_parser().parse_args(flag + [text])
+    assert getattr(args, flag[-1][2:].replace("-", "_")) == int(text)
+
+
+@pytest.mark.parametrize("text", ["-1", "-12", "1.5", "1e3", "0x10", "", "True", "nan"])
+@pytest.mark.parametrize("flag", COUNT_FLAGS)
+def test_count_flags_refuse_negatives_and_non_integers_alike(capsys, flag, text):
+    usage = f"usage: deltanabla {flag[0]}"
+    assert usage_error(capsys, flag + [text], usage) == (
+        f"deltanabla {flag[0]}: error: argument {flag[-1]}: expected a nonnegative integer, got {text!r}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +634,9 @@ def test_solve_then_check_round_trip(tmp_path):
 def test_cmd_check_negative_probe_trials_is_an_input_error(tmp_path, capsys):
     problem = write_problem(tmp_path, EXAMPLE)
     traj = write_trajectory(tmp_path, [1, 3, 4], [0.0, 7 / 9, 1.0])
-    assert main(["check", problem, traj, "--probe-trials", "-3"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: --probe-trials must be nonnegative\n"
-    assert captured.out == ""
+    assert usage_error(capsys, ["check", problem, traj, "--probe-trials", "-3"], "usage: deltanabla check") == (
+        "deltanabla check: error: argument --probe-trials: expected a nonnegative integer, got '-3'"
+    )
 
 
 def test_cmd_check_zero_probe_trials_warns(tmp_path, capsys):
@@ -627,10 +651,9 @@ def test_cmd_check_zero_probe_trials_warns(tmp_path, capsys):
 def test_cmd_check_negative_seed_is_an_input_error(tmp_path, capsys):
     problem = write_problem(tmp_path, EXAMPLE)
     traj = write_trajectory(tmp_path, [1, 3, 4], [0.0, 7 / 9, 1.0])
-    assert main(["check", problem, traj, "--seed", "-1"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: --seed must be nonnegative\n"
-    assert captured.out == ""
+    assert usage_error(capsys, ["check", problem, traj, "--seed", "-1"], "usage: deltanabla check") == (
+        "deltanabla check: error: argument --seed: expected a nonnegative integer, got '-1'"
+    )
 
 
 def test_cmd_check_maximizer_passes_the_local_maximum_probe(tmp_path, capsys):

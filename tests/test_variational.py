@@ -107,6 +107,58 @@ def test_lagrangian_nan_raises_evaluation_error():
         bad(0.0, 0.0, 0.0)
 
 
+# 1e308*y^2 + v^2: its y partial, 2e308*y, overflows at y = 1 whoever computes it
+OVERFLOWING_PARTIAL = {
+    "difference": Lagrangian(lambda t, y, v: 1e308 * y * y + v * v),
+    "explicit": Lagrangian(
+        lambda t, y, v: 1e308 * y * y + v * v, lambda t, y, v: 1e308 * (2 * y), lambda t, y, v: 2 * v
+    ),
+    "expression": Lagrangian.from_expression("1e308*y*y + v*v"),
+}
+
+
+def test_a_difference_partial_is_guarded_like_a_given_one():
+    L = OVERFLOWING_PARTIAL["difference"]
+    with pytest.raises(EvaluationError, match=r"^d2\(0\.5, 1\.0, 0\.0\) is not finite$"):
+        L.d2(0.5, 1.0, 0.0)
+    with pytest.raises(EvaluationError, match=r"^d2\(0\.0, 1\.0, 0\.0\) is not finite$"):
+        L.partials(0.0, 1.0, 0.0)
+    assert L.d2(0.5, 1e-300, 0.0) == _central(L, 0.5, 1e-300, 0.0, _fd_step(1e-300), 0.0)
+
+
+def test_an_overflowing_partial_is_reported_alike_by_every_form():
+    ts = TimeScale.sampled_interval(0, 1, 5)
+    fields = []
+    for L in OVERFLOWING_PARTIAL.values():
+        p = TermSumProblem(ts, [Term(1.0, L, "delta")], 1.0, 1.0)
+        with pytest.raises(EvaluationError):
+            gradient(p, linear_interpolant(p))
+        sol = solve(p)  # reported, not raised
+        fields.append((sol.y.values, sol.converged, sol.iterations, sol.objective,
+                       sol.residual_el1, sol.residual_el2, sol.certificate))
+    assert fields[0][1:4] == (False, 0, 1e308)
+    assert np.isnan(fields[0][4])
+    for other in fields[1:]:
+        np.testing.assert_equal(other, fields[0])
+
+
+def test_arrays_of_a_callable_are_finite_or_raise():
+    # every scalar function of a callable passes the one guard, a difference
+    # partial too, so its arrays never carry an overflow through
+    rng = np.random.default_rng(0)
+    t, y, v = np.linspace(0.5, 2.0, 4)[:, None], np.linspace(-2.0, 2.0, 5), 0.3
+    for _ in range(300):
+        E = ex.compile_expr(random_expression(rng))
+        for s in (1.0, 1e300, 1e305, 1e306, 1e307):
+            L = Lagrangian(lambda t, y, v, E=E, s=s: s * E(t, y, v))
+            for method in (L.values, L.partials, L.hessian):
+                try:
+                    out = method(t, y, v)
+                except EvaluationError:
+                    continue
+                assert np.isfinite(out).all()  # one array, or a tuple of equal shapes
+
+
 # ---------------------------------------------------------------------------
 # evaluation on arrays: values, first and second partials
 # ---------------------------------------------------------------------------
