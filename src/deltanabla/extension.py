@@ -112,7 +112,7 @@ def epigraph_contains(f: GridFunction, point: tuple[float, float]) -> bool:
     alpha * f(s) + beta * f(sigma(s)) over the gap containing t.
     """
     t, lam = point
-    return lam >= extend(f)(t)
+    return _real(lam, "lam") >= extend(f)(t)
 
 
 def secant_slopes(f: GridFunction) -> np.ndarray:

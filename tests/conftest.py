@@ -1,8 +1,18 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and the hypothesis profile."""
 
 import numpy as np
 
 from deltanabla import expressions as ex
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, no timing flakes on a slow machine,
+    # and no example database written into the checkout
+    settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+    settings.load_profile("deterministic")
 
 
 def random_expression(rng: np.random.Generator, depth: int = 0) -> "ex.Expr":

@@ -22,6 +22,7 @@ from deltanabla import (
     d_u_integral,
     delta_integral,
     directional_derivative,
+    epigraph_contains,
     extend,
     hat_variation,
     identity_suite,
@@ -76,6 +77,8 @@ REALS = {
     "random_scale-min_gap": ("min_gap", lambda x: random_scale(rng(), min_gap=x), 1),
     "random_scale-max_gap": ("max_gap", lambda x: random_scale(rng(), max_gap=x), 1),
     "GridFunction.constant-c": ("c", lambda x: GridFunction.constant(TS, x), 2),
+    "GridFunction.__mul__-factor": ("factor", lambda x: F * x, 2),
+    "epigraph_contains-lam": ("lam", lambda x: epigraph_contains(F, (1.5, x)), 1),
     # a time point: looked up in the scale, or placed in [a, b] by the extension
     "sigma-t": ("t", lambda x: F.scale.sigma(x), 1),
     "rho-t": ("t", lambda x: F.scale.rho(x), 1),

@@ -3,6 +3,7 @@ conversion identities, and the Dubois-Reymond probe."""
 
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,16 @@ def test_grid_function_and_a_number_do_not_add(op):
     for left, right in ((f, 1.0), (1.0, f)):
         with pytest.raises(TypeError, match="unsupported operand"):
             op(left, right)
+
+
+@pytest.mark.parametrize("bad", ["2", True], ids=repr)
+def test_a_grid_function_scales_only_by_a_real_number_from_the_left_too(bad):
+    # f * x is a row of tests/test_arguments.py; x * f reaches __rmul__ only
+    # for a Python factor, since a numpy scalar multiplies first
+    f = GridFunction(TimeScale([0.0, 1.0, 2.0, 3.0]), [0.0, 1.0, 4.0, 9.0])
+    with pytest.raises(DomainError, match=f"^factor must be a real number, got {bad!r}$"):
+        bad * f
+    assert np.array_equal((2 * f).values, [0.0, 2.0, 8.0, 18.0])
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 5)])
@@ -587,14 +598,44 @@ def test_constraint_matrix_equals_hat_by_hat_definition():
             assert np.array_equal(variation_constraint_matrix(ts, kind), np.array(rows))
 
 
-def test_hat_basis_rows_are_the_hats():
-    from deltanabla.timescale import _hat_basis
+def test_hat_parities_are_the_sums_of_the_hats_of_each_parity():
+    from deltanabla.timescale import _hat_parities
 
     for ts in _dr_scales():
-        stack = _hat_basis(ts)
-        assert stack.scale is ts and stack.values.shape == (len(ts) - 2, len(ts))
-        for j in range(1, len(ts) - 1):
-            assert np.array_equal(stack.values[j - 1], hat_variation(ts, j).values)
+        pair = _hat_parities(ts)
+        assert pair.scale is ts and pair.values.shape == (2, len(ts))
+        for parity in (0, 1):
+            hats = [hat_variation(ts, j).values for j in range(1, len(ts) - 1) if j % 2 == parity]
+            assert np.array_equal(pair.values[parity], np.sum(hats, axis=0) if hats else np.zeros(len(ts)))
+
+
+def test_probe_integrals_are_the_constraint_matrix_times_f():
+    rng = np.random.default_rng(37)
+    for ts in _dr_scales():
+        for kind in ("delta", "nabla"):
+            f = GridFunction(ts, rng.uniform(-10, 10, len(ts)))
+            dom = f.values[:-1] if kind == "delta" else f.values[1:]
+            expected = variation_constraint_matrix(ts, kind) @ dom
+            tol = 1e-14 * max(1.0, float(np.max(np.abs(dom))))
+            assert np.max(np.abs(dubois_reymond_probe(f, kind).integrals - expected)) <= tol
+
+
+def test_probe_runs_at_a_million_points_in_linear_memory():
+    n = 10**6
+    ts = TimeScale.sampled_interval(0, 1, n)
+    const, sine = GridFunction.constant(ts, 2.5), GridFunction(ts, np.sin(ts.points))
+    tracemalloc.start()
+    try:
+        for kind in ("delta", "nabla"):
+            rep = dubois_reymond_probe(const, kind)
+            assert rep.all_vanish and rep.constant
+            rep = dubois_reymond_probe(sine, kind)
+            dom = sine.values[:-1] if kind == "delta" else sine.values[1:]
+            assert np.max(np.abs(rep.integrals + np.diff(dom))) <= 1e-15
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * n
 
 
 def test_hat_variation_shape():
