@@ -114,10 +114,10 @@ class TimeScale:
         pts = np.array(points if isinstance(points, np.ndarray) else list(points), dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise DomainError("a time scale needs at least one point")
-        if not np.all(np.isfinite(pts)):
+        if np.count_nonzero(np.isfinite(pts)) != pts.size:
             raise DomainError("time scale points must be finite")
-        gaps = np.diff(pts)
-        if not np.all(gaps > 0):
+        gaps = pts[1:] - pts[:-1]  # np.diff's bits, as in _slopes
+        if np.count_nonzero(gaps > 0) != gaps.size:
             raise DomainError("time scale points must be strictly increasing")
         pts.setflags(write=False)
         gaps.setflags(write=False)
@@ -175,7 +175,8 @@ class TimeScale:
         )
 
     def __hash__(self) -> int:
-        return hash(self.points.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which __eq__ counts as equal
+        return hash((self.points + 0.0).tobytes())
 
     def index(self, t: float) -> int:
         """Index of t, a real number by ``_real``'s rule, in the point set; exact comparison."""

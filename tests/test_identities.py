@@ -1,8 +1,10 @@
 """The randomized identity suite: exact agreement with a one-identity-at-a-
-time reference, argument validation, and sensitivity to a faulty integral."""
+time reference and with its own trials one at a time, argument validation,
+and sensitivity to a faulty integral."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from deltanabla import (
     DomainError,
     GridFunction,
+    ScaleMismatchError,
     TimeScale,
     delta_derivative,
     delta_integral,
@@ -129,6 +132,46 @@ def test_check_trial_equals_reference_trial():
         assert identities.check_trial(ts, f, g) == _reference_trial(ts, f, g)
 
 
+def test_check_trial_rejects_a_function_off_its_scale():
+    ts = TimeScale([0, 1, 2, 3, 4])
+    on = GridFunction(ts, [0.3, -0.2, 0.9, 0.1, -0.7])
+    off = GridFunction(TimeScale([0, 1, 2.5, 3, 4]), on.values)
+    for f, g in ((off, on), (on, off)):
+        with pytest.raises(ScaleMismatchError):
+            identities.check_trial(ts, f, g)
+    stack = GridFunction(ts, (on.values, on.values))
+    with pytest.raises(DomainError, match=r"got a stack of shape \(2, 5\)"):
+        identities.check_trial(ts, on, stack)
+
+
+@pytest.mark.parametrize(
+    "blocks, extra",
+    [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+    ids=["1", "block-1", "block", "block+1", "2block+1"],
+)
+def test_suite_equals_the_worst_check_trial_over_the_same_draws(blocks, extra):
+    trials, seed = blocks * identities._BLOCK + extra, 17
+    rng = np.random.default_rng(seed)
+    expected = dict.fromkeys(IDENTITY_NAMES, 0.0)
+    for _ in range(trials):
+        ts = random_scale(rng)
+        f, g = random_grid_function(rng, ts), random_grid_function(rng, ts)
+        for name, err in identities.check_trial(ts, f, g).items():
+            expected[name] = max(expected[name], err)
+    assert identity_suite(trials, seed) == expected
+
+
+def test_suite_holds_one_block_of_sides_at_a_time():
+    # all 200 trials' sides at once peaked at about 1.7 MB
+    tracemalloc.start()
+    try:
+        identity_suite(200, 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
+
+
 DELTA_INTEGRAL_IDENTITIES = {
     "ibp_sigma_delta", "ibp_plain_delta", "delta_to_nabla", "nabla_to_delta",
     "split_delta_at_b", "split_delta_at_a", "ftc_delta",
@@ -166,3 +209,28 @@ def test_suite_rejects_bad_arguments_up_front(kwargs, argument):
 def test_suite_boundary_arguments_are_valid():
     assert identity_suite(trials=0) == dict.fromkeys(IDENTITY_NAMES, 0.0)
     assert identity_suite(trials=np.int64(2), seed=np.uint8(1)) == identity_suite(trials=2, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call, affected",
+    [
+        (0, DELTA_INTEGRAL_IDENTITIES),  # the stack of full-range integrands
+        (1, {"split_delta_at_b"}),  # the integral over [a, rho(b))
+        (2, {"split_delta_at_a"}),  # the integral over [sigma(a), b)
+    ],
+)
+def test_a_nan_in_one_trial_fails_exactly_the_identities_that_read_it(monkeypatch, call, affected):
+    # a trial makes three delta_integral calls; spoil one call of trial 40,
+    # in the second block
+    trial, calls = 40, []
+    exact = identities.delta_integral
+
+    def spoiled(f, lo=None, hi=None):
+        calls.append(None)
+        value = exact(f, lo, hi)
+        return value * math.nan if len(calls) == 3 * trial + call + 1 else value
+
+    monkeypatch.setattr(identities, "delta_integral", spoiled)
+    worst = identity_suite(trials=2 * identities._BLOCK + 1, seed=4)
+    assert {name for name, err in worst.items() if err == math.inf} == affected
+    assert max(err for name, err in worst.items() if name not in affected) <= 1e-12

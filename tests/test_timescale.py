@@ -108,6 +108,14 @@ def test_points_and_gaps_are_read_only():
     assert ts == ts
 
 
+def test_scales_equal_up_to_signed_zeros_hash_alike():
+    negative, positive = TimeScale([-0.0, 1.0]), TimeScale([0.0, 1.0])
+    assert negative == positive
+    assert hash(negative) == hash(positive)
+    assert len({negative, positive}) == 1
+    assert negative.points.tobytes() != positive.points.tobytes()  # the points keep their sign
+
+
 def test_single_point_scale_constructible_but_ops_rejected():
     ts = TimeScale([2.0])
     f = GridFunction(ts, [1.0])
