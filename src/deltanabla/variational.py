@@ -12,6 +12,15 @@ stationary point to a global minimizer; a sampled Hessian check issues
 that certificate, on numpy arrays of exact second partials for expression
 Lagrangians.
 
+Each Newton iteration probes one difference Hessian, which serves the
+Newton step and at most one chord step, taken only after a full-length
+Newton step that at least halved max|g|, and never when max|g| is already
+within the gradient tolerance or at its rounding floor, nor after a
+steepest-descent step.  A solution's ``iterations`` counts Hessians, and
+``solve``'s max_iter bounds them.  The stopping rule on max|g| is the one
+without chord steps, so how far a solution lands below tol moves case by
+case with the path.
+
 Every delta term and every nabla term is one two-point stencil,
 sum_i gap_i * L(t_e, y_s, (y_{i+1} - y_i) / gap_i), with (e, s) = (i, i+1)
 for delta and (i+1, i) for nabla, read off the stencil table of
@@ -46,6 +55,7 @@ from . import expressions
 from .timescale import _STENCIL, DomainTag, GridFunction, TimeScale, _integer, _one_function, _real, _slopes
 
 FD_STEP = 1e-6  # central-difference step factor, times max(1, |x|)
+CHORD_FLOOR = 4.0  # no chord step once max|g| <= this * eps * |H|_inf * max(1, |x|_inf)
 HESSIAN = ("yy", "yv", "vv")  # the keys of the second partials in Lagrangian._on_arrays
 
 
@@ -439,7 +449,8 @@ class Solution:
     ``residual_el1`` and ``residual_el2`` are the max-abs of the two
     mean-subtracted Euler-Lagrange forms, which hold the same values and so
     are equal; ``converged`` is ``_verdict``'s: they are within the solve
-    tolerance and the objective is finite.
+    tolerance and the objective is finite.  ``iterations`` counts the
+    difference Hessians ``solve`` probed, not its chord steps.
     """
 
     y: GridFunction
@@ -458,10 +469,15 @@ def linear_interpolant(p: TermSumProblem) -> GridFunction:
     return GridFunction(ts, p.alpha + (p.beta - p.alpha) * frac)
 
 
-def _assemble(p: TermSumProblem, interior: np.ndarray) -> GridFunction:
+def _full(p: TermSumProblem, interior: np.ndarray) -> np.ndarray:
+    """The interior values with alpha and beta at the ends, a new array."""
     vals = np.empty(interior.size + 2)
     vals[0], vals[1:-1], vals[-1] = p.alpha, interior, p.beta
-    return GridFunction(p.scale, vals)
+    return vals
+
+
+def _assemble(p: TermSumProblem, interior: np.ndarray) -> GridFunction:
+    return GridFunction(p.scale, _full(p, interior))
 
 
 def _in_domain(f: Callable, *args):
@@ -493,6 +509,35 @@ def _verdict(p: TermSumProblem, y: GridFunction, tol: float) -> tuple[float, flo
     return value, r, r <= tol and not math.isnan(value)
 
 
+def _backtrack(
+    p: TermSumProblem, x: np.ndarray, gnorm: float, step: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """The first trial x + lam * step, lam = 1, 1/2, ..., 2^-30, whose
+    gradient's max-abs falls below gnorm * (1 - 1e-4 * lam), as (lam, trial,
+    its gradient), or None.  A trial whose gradient leaves the Lagrangian's
+    domain is rejected like one that does not descend."""
+    lam = 1.0
+    while lam >= 2.0**-30:
+        try:
+            x_trial = x + lam * step
+            g_trial = gradient(p, _assemble(p, x_trial))
+        except (EvaluationError, FloatingPointError):  # the trial left the domain
+            g_trial = np.full(x.size, math.inf)
+        if float(np.max(np.abs(g_trial))) < gnorm * (1.0 - 1e-4 * lam):
+            return lam, x_trial, g_trial
+        lam *= 0.5
+    return None
+
+
+def _rounding_floor(H: np.ndarray, x: np.ndarray) -> float:
+    """``CHORD_FLOOR`` * eps * |H|_inf * max(1, |x|_inf).  Above it in
+    max|g|, the chord step -H^-1 g is at least ``CHORD_FLOOR`` * eps *
+    max(1, |x|_inf) long, since |g|_inf <= |H|_inf * |step|_inf, so its
+    full-length trial is no rounding-level move of x."""
+    size = float(np.max(np.sum(np.abs(H), axis=1))) * max(1.0, float(np.max(np.abs(x))))
+    return CHORD_FLOOR * np.finfo(float).eps * size
+
+
 def solve(
     p: TermSumProblem,
     tol: float = 1e-10,
@@ -501,13 +546,25 @@ def solve(
 ) -> Solution:
     """Find a stationary trajectory by damped Newton on the gradient.
 
-    The Hessian is taken by central differences of the gradient; when it is
+    Each iteration probes one Hessian by central differences of the
+    gradient, 2(n - 2) gradient calls on an n-point scale; when it is
     singular, or a probe x +- h leaves the Lagrangian's domain, the step is
     steepest descent.  Steps backtrack on the gradient norm, and a trial
     step whose gradient leaves the Lagrangian's domain is rejected like one
     that does not descend.  An overflow or an invalid operation in the
     gradient, the Euler-Lagrange form or the objective counts as leaving
     the domain.
+    The same Hessian serves at most one more step, a chord step (Shamanskii's
+    method), -H^-1 times the gradient at the new point, backtracked alike.
+    It is taken after a Newton step that the line search accepted at full
+    length and that at least halved max|g|, unless max|g| is already within
+    gtol or at its rounding floor, ``CHORD_FLOOR`` * eps * |H|_inf *
+    max(1, |x|_inf); a steepest-descent step is never followed by one.  A
+    chord step that finds no descent is dropped, and the next iteration
+    probes a new Hessian at the last accepted point.  ``iterations`` counts
+    Hessians, and max_iter bounds them, not the chord steps.  The solve
+    stops where max|g| <= gtol = tol / (2 (n - 2)), as without chord steps,
+    so how far below tol it lands moves case by case with the path.
     Non-convergence is reported in the returned Solution, never raised: a
     stationary point where the objective itself cannot be evaluated gives
     ``converged=False`` and ``objective=nan``, with its residuals, and a
@@ -545,36 +602,31 @@ def solve(
             H = np.empty((n, n))
             h = FD_STEP * np.maximum(1.0, np.abs(x))
             x_plus, x_minus = x + h, x - h
-            probe = x.copy()  # x with one coordinate moved, restored after its row
+            probe = _full(p, x)  # alpha, x, beta; one coordinate moved, restored after its row
             try:
                 for j in range(n):
-                    probe[j] = x_plus[j]
-                    g_plus = gradient(p, _assemble(p, probe))
-                    probe[j] = x_minus[j]
-                    g_minus = gradient(p, _assemble(p, probe))
-                    probe[j] = x[j]
+                    probe[j + 1] = x_plus[j]
+                    g_plus = gradient(p, GridFunction(p.scale, probe))
+                    probe[j + 1] = x_minus[j]
+                    g_minus = gradient(p, GridFunction(p.scale, probe))
+                    probe[j + 1] = x[j]
                     H[j] = (g_plus - g_minus) / (2.0 * h[j])
                 H = 0.5 * (H.T + H)  # row j holds column j of the difference Hessian
-                step = np.linalg.solve(H, -g)
+                step, newton = np.linalg.solve(H, -g), True
             except (np.linalg.LinAlgError, EvaluationError, FloatingPointError):
-                step = -g  # singular, or a probe left the domain
-            # backtrack on the gradient norm
-            lam = 1.0
-            accepted = False
-            while lam >= 2.0**-30:
-                try:
-                    x_trial = x + lam * step
-                    g_trial = gradient(p, _assemble(p, x_trial))
-                except (EvaluationError, FloatingPointError):  # the trial left the domain
-                    g_trial = np.full(n, math.inf)
-                if float(np.max(np.abs(g_trial))) < gnorm * (1.0 - 1e-4 * lam):
-                    x, g = x_trial, g_trial
-                    accepted = True
-                    break
-                lam *= 0.5
+                step, newton = -g, False  # singular, or a probe left the domain
             iterations += 1
-            if not accepted:
+            found = _backtrack(p, x, gnorm, step)
+            if found is None:
                 break
+            lam, x, g = found
+            # the chord step: H once more, after a full Newton step that at
+            # least halved max|g| and left it above gtol and its rounding floor
+            gnew = float(np.max(np.abs(g)))
+            if newton and lam == 1.0 and max(gtol, _rounding_floor(H, x)) < gnew <= 0.5 * gnorm:
+                chord = _backtrack(p, x, gnew, np.linalg.solve(H, -g))
+                if chord is not None:  # else the next Hessian is probed at x
+                    _, x, g = chord
 
     y = _assemble(p, x)
     value, r, converged = _verdict(p, y, tol)

@@ -962,6 +962,18 @@ def test_solve_nonconvergence_is_reported_not_raised():
     assert sol.iterations == 1
 
 
+@pytest.mark.parametrize("kind", ["delta", "nabla"])
+def test_solve_one_hessian_serves_a_newton_and_a_chord_step(kind):
+    # the full Newton step more than halves max|g| without reaching gtol, so
+    # the chord step on the same difference Hessian finishes the solve;
+    # iterations counts Hessians, and max_iter bounds them, not the chord
+    L = Lagrangian.from_expression("t*v^2 + y^2")
+    p = TermSumProblem(TimeScale.sampled_interval(1.0, 2.0, 161), [Term(1.0, L, kind)], 0.0, 1.0)
+    for sol in (solve(p), solve(p, max_iter=1)):
+        assert sol.converged and sol.iterations == 1
+        assert sol.certificate is Certificate.GLOBAL_MIN
+
+
 @pytest.mark.parametrize(
     "kwargs, argument",
     [
