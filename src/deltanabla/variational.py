@@ -12,14 +12,17 @@ stationary point to a global minimizer; a sampled Hessian check issues
 that certificate, on numpy arrays of exact second partials for expression
 Lagrangians.
 
-Each Newton iteration probes one difference Hessian, which serves the
-Newton step and at most one chord step, taken only after a full-length
-Newton step that at least halved max|g|, and never when max|g| is already
-within the gradient tolerance or at its rounding floor, nor after a
-steepest-descent step.  A solution's ``iterations`` counts Hessians, and
-``solve``'s max_iter bounds them.  The stopping rule on max|g| is the one
-without chord steps, so how far a solution lands below tol moves case by
-case with the path.
+Each Newton iteration probes one difference Hessian.  Every gradient row
+reads only its own point and its two neighbours, so that Hessian is
+tridiagonal: it is kept as its diagonal and off-diagonal and solved in
+O(n) by elimination with partial pivoting.  It serves the Newton step and
+at most one chord step, taken only after a full-length Newton step that
+at least halved max|g|, and never when max|g| is already within the
+gradient tolerance, nor when the chord step is a rounding-level move of
+the trajectory, nor after a steepest-descent step.  A solution's
+``iterations`` counts Hessians, and ``solve``'s max_iter bounds them.
+The stopping rule on max|g| is the one without chord steps, so how far a
+solution lands below tol moves case by case with the path.
 
 Every delta term and every nabla term is one two-point stencil,
 sum_i gap_i * L(t_e, y_s, (y_{i+1} - y_i) / gap_i), with (e, s) = (i, i+1)
@@ -55,7 +58,7 @@ from . import expressions
 from .timescale import _STENCIL, DomainTag, GridFunction, TimeScale, _integer, _one_function, _real, _slopes
 
 FD_STEP = 1e-6  # central-difference step factor, times max(1, |x|)
-CHORD_FLOOR = 4.0  # no chord step once max|g| <= this * eps * |H|_inf * max(1, |x|_inf)
+CHORD_FLOOR = 4.0  # no chord step d unless max|d| > this * eps * max(1, max|x|)
 HESSIAN = ("yy", "yv", "vv")  # the keys of the second partials in Lagrangian._on_arrays
 
 
@@ -514,12 +517,15 @@ def _backtrack(
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
     """The first trial x + lam * step, lam = 1, 1/2, ..., 2^-30, whose
     gradient's max-abs falls below gnorm * (1 - 1e-4 * lam), as (lam, trial,
-    its gradient), or None.  A trial whose gradient leaves the Lagrangian's
-    domain is rejected like one that does not descend."""
+    its gradient), or None.  A trial that is not finite, or whose gradient
+    leaves the Lagrangian's domain, is rejected like one that does not
+    descend."""
     lam = 1.0
     while lam >= 2.0**-30:
         try:
             x_trial = x + lam * step
+            if not np.isfinite(x_trial).all():
+                raise FloatingPointError("the trial is not finite")
             g_trial = gradient(p, _assemble(p, x_trial))
         except (EvaluationError, FloatingPointError):  # the trial left the domain
             g_trial = np.full(x.size, math.inf)
@@ -529,13 +535,65 @@ def _backtrack(
     return None
 
 
-def _rounding_floor(H: np.ndarray, x: np.ndarray) -> float:
-    """``CHORD_FLOOR`` * eps * |H|_inf * max(1, |x|_inf).  Above it in
-    max|g|, the chord step -H^-1 g is at least ``CHORD_FLOOR`` * eps *
-    max(1, |x|_inf) long, since |g|_inf <= |H|_inf * |step|_inf, so its
-    full-length trial is no rounding-level move of x."""
-    size = float(np.max(np.sum(np.abs(H), axis=1))) * max(1.0, float(np.max(np.abs(x))))
-    return CHORD_FLOOR * np.finfo(float).eps * size
+def _difference_band(p: TermSumProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized central-difference Hessian of the gradient at the
+    interior values x, as (diagonal, off-diagonal).
+
+    Column j is (g(x + h_j e_j) - g(x - h_j e_j)) / (2 h_j), two gradient
+    calls.  A gradient row reads only its point and its two neighbours, so
+    the column is zero off rows j - 1, j and j + 1, and only those three
+    entries are kept.  The off-diagonal is the mean of the entry below the
+    diagonal in one column and the entry above it in the next."""
+    n = x.size
+    diag, below, above = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    h = FD_STEP * np.maximum(1.0, np.abs(x))
+    x_plus, x_minus = x + h, x - h
+    probe = _full(p, x)  # alpha, x, beta; one coordinate moved, restored after its column
+    for j in range(n):
+        probe[j + 1] = x_plus[j]
+        g_plus = gradient(p, GridFunction(p.scale, probe))
+        probe[j + 1] = x_minus[j]
+        g_minus = gradient(p, GridFunction(p.scale, probe))
+        probe[j + 1] = x[j]
+        col = (g_plus - g_minus) / (2.0 * h[j])
+        diag[j] = col[j]
+        if j > 0:
+            above[j - 1] = col[j - 1]
+        if j < n - 1:
+            below[j] = col[j + 1]
+    return diag, 0.5 * (below + above)
+
+
+def _solve_band(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution of the symmetric tridiagonal system with diagonal diag
+    and off-diagonal off for the right-hand side rhs, in O(n): LAPACK
+    dgtsv's Gaussian elimination with partial pivoting (Higham, Accuracy
+    and Stability of Numerical Algorithms, section 9.6), which an
+    indefinite matrix needs.  An exactly zero pivot raises
+    ``np.linalg.LinAlgError``.  The arithmetic is on Python floats, so an
+    overflow gives an infinite or NaN entry, never an exception."""
+    n = diag.size
+    d, b, sub = diag.tolist(), rhs.tolist(), off.tolist()
+    sup = sub + [0.0]  # the superdiagonal, which row swaps change
+    sup2 = [0.0] * n  # the second superdiagonal, which row swaps fill in
+    for i in range(n - 1):
+        if abs(d[i]) < abs(sub[i]):  # swap rows i and i + 1
+            fact = d[i] / sub[i]
+            d[i], d[i + 1], sup[i] = sub[i], sup[i] - fact * d[i + 1], d[i + 1]
+            sup2[i], sup[i + 1] = sup[i + 1], -fact * sup[i + 1]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+        else:  # a NaN pivot takes this branch, and gives a NaN solution
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError(f"zero pivot in row {i}")
+            fact = sub[i] / d[i]
+            d[i + 1] -= fact * sup[i]
+            b[i + 1] -= fact * b[i]
+    if d[n - 1] == 0.0:
+        raise np.linalg.LinAlgError(f"zero pivot in row {n - 1}")
+    x = b + [0.0, 0.0]
+    for i in range(n - 1, -1, -1):
+        x[i] = (b[i] - sup[i] * x[i + 1] - sup2[i] * x[i + 2]) / d[i]
+    return np.array(x[:n])
 
 
 def solve(
@@ -547,24 +605,27 @@ def solve(
     """Find a stationary trajectory by damped Newton on the gradient.
 
     Each iteration probes one Hessian by central differences of the
-    gradient, 2(n - 2) gradient calls on an n-point scale; when it is
-    singular, or a probe x +- h leaves the Lagrangian's domain, the step is
-    steepest descent.  Steps backtrack on the gradient norm, and a trial
-    step whose gradient leaves the Lagrangian's domain is rejected like one
-    that does not descend.  An overflow or an invalid operation in the
-    gradient, the Euler-Lagrange form or the objective counts as leaving
-    the domain.
+    gradient, 2(n - 2) gradient calls on an n-point scale, and keeps it as
+    the tridiagonal matrix it is (``_difference_band``), solved in O(n)
+    time and memory (``_solve_band``).  When it is singular, a probe
+    x +- h leaves the Lagrangian's domain, or the solved step is not
+    finite, the step is steepest descent.  Steps backtrack on the gradient
+    norm, and a trial step that is not finite, or whose gradient leaves the
+    Lagrangian's domain, is rejected like one that does not descend.  An
+    overflow or an invalid operation in the gradient, the Euler-Lagrange
+    form or the objective counts as leaving the domain.
     The same Hessian serves at most one more step, a chord step (Shamanskii's
-    method), -H^-1 times the gradient at the new point, backtracked alike.
-    It is taken after a Newton step that the line search accepted at full
-    length and that at least halved max|g|, unless max|g| is already within
-    gtol or at its rounding floor, ``CHORD_FLOOR`` * eps * |H|_inf *
-    max(1, |x|_inf); a steepest-descent step is never followed by one.  A
-    chord step that finds no descent is dropped, and the next iteration
-    probes a new Hessian at the last accepted point.  ``iterations`` counts
-    Hessians, and max_iter bounds them, not the chord steps.  The solve
-    stops where max|g| <= gtol = tol / (2 (n - 2)), as without chord steps,
-    so how far below tol it lands moves case by case with the path.
+    method), d = -H^-1 times the gradient at the new point, backtracked
+    alike.  It is taken after a Newton step that the line search accepted
+    at full length and that at least halved max|g|, unless max|g| is
+    already within gtol, or d is a rounding-level move of x:
+    max|d| <= ``CHORD_FLOOR`` * eps * max(1, max|x|).  A steepest-descent
+    step is never followed by one.  A chord step that finds no descent is
+    dropped, and the next iteration probes a new Hessian at the last
+    accepted point.  ``iterations`` counts Hessians, and max_iter bounds
+    them, not the chord steps.  The solve stops where
+    max|g| <= gtol = tol / (2 (n - 2)), as without chord steps, so how far
+    below tol it lands moves case by case with the path.
     Non-convergence is reported in the returned Solution, never raised: a
     stationary point where the objective itself cannot be evaluated gives
     ``converged=False`` and ``objective=nan``, with its residuals, and a
@@ -588,6 +649,7 @@ def solve(
 
     n = x.size
     gtol = tol / (2.0 * max(1, n))
+    floor = CHORD_FLOOR * np.finfo(float).eps
     iterations = 0
     # one errstate for the whole solve: per gradient call it would cost more
     with np.errstate(all="raise", under="ignore"):
@@ -599,34 +661,29 @@ def solve(
             gnorm = float(np.max(np.abs(g)))
             if gnorm <= gtol:
                 break
-            H = np.empty((n, n))
-            h = FD_STEP * np.maximum(1.0, np.abs(x))
-            x_plus, x_minus = x + h, x - h
-            probe = _full(p, x)  # alpha, x, beta; one coordinate moved, restored after its row
             try:
-                for j in range(n):
-                    probe[j + 1] = x_plus[j]
-                    g_plus = gradient(p, GridFunction(p.scale, probe))
-                    probe[j + 1] = x_minus[j]
-                    g_minus = gradient(p, GridFunction(p.scale, probe))
-                    probe[j + 1] = x[j]
-                    H[j] = (g_plus - g_minus) / (2.0 * h[j])
-                H = 0.5 * (H.T + H)  # row j holds column j of the difference Hessian
-                step, newton = np.linalg.solve(H, -g), True
+                band = _difference_band(p, x)
+                step = _solve_band(*band, -g)
+                newton = bool(np.isfinite(step).all())  # an overflowing step counts as singular
             except (np.linalg.LinAlgError, EvaluationError, FloatingPointError):
-                step, newton = -g, False  # singular, or a probe left the domain
+                newton = False  # singular, or a probe left the domain
+            if not newton:
+                step = -g
             iterations += 1
             found = _backtrack(p, x, gnorm, step)
             if found is None:
                 break
             lam, x, g = found
             # the chord step: H once more, after a full Newton step that at
-            # least halved max|g| and left it above gtol and its rounding floor
+            # least halved max|g| and left it above gtol, unless the step
+            # would move x only at its rounding level
             gnew = float(np.max(np.abs(g)))
-            if newton and lam == 1.0 and max(gtol, _rounding_floor(H, x)) < gnew <= 0.5 * gnorm:
-                chord = _backtrack(p, x, gnew, np.linalg.solve(H, -g))
-                if chord is not None:  # else the next Hessian is probed at x
-                    _, x, g = chord
+            if newton and lam == 1.0 and gtol < gnew <= 0.5 * gnorm:
+                chord = _solve_band(*band, -g)
+                if float(np.max(np.abs(chord))) > floor * max(1.0, float(np.max(np.abs(x)))):
+                    found = _backtrack(p, x, gnew, chord)
+                    if found is not None:  # else the next Hessian is probed at x
+                        _, x, g = found
 
     y = _assemble(p, x)
     value, r, converged = _verdict(p, y, tol)

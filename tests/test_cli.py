@@ -303,6 +303,20 @@ def test_cmd_solve_overflow_exit_2(tmp_path, capsys):
     assert report["residuals"] == {"el1_max": None, "el2_max": None}
 
 
+def test_cmd_solve_overflowing_newton_step_exit_2(tmp_path, capsys):
+    # the Newton step -1e307 / 0.04 is -inf: a numerical failure, not an input error
+    data = json.loads(json.dumps(EXAMPLE))
+    data["timescale"] = {"points": [0, 1, 2]}
+    data["gamma2"] = 0.0
+    data["lagrangian_delta"] = "1e307*y + 0.01*v^2"
+    data["boundary"] = {"alpha": 0.0, "beta": 0.0}
+    code = main(["solve", write_problem(tmp_path, data)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.startswith("NOT converged: ")
+    assert "error:" not in captured.err
+
+
 def test_cmd_check_overflow_exit_2(tmp_path, capsys):
     # check reads the overflow above in the trajectory solve wrote as solve
     # does: a NaN residual and exit 2, with no warning and no input error

@@ -4,6 +4,7 @@ certificates, and the local-minimizer probe."""
 import functools
 import math
 import operator
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -44,7 +45,14 @@ from deltanabla import (
 )
 from deltanabla import expressions as ex
 from deltanabla import variational
-from deltanabla.variational import _central, _fd_step, _objectives
+from deltanabla.variational import (
+    _backtrack,
+    _central,
+    _difference_band,
+    _fd_step,
+    _objectives,
+    _solve_band,
+)
 from conftest import nested_array_function, random_expression, well_behaved_sample
 
 T134 = TimeScale([1.0, 3.0, 4.0])
@@ -1063,6 +1071,141 @@ def test_solve_reports_an_overflow_like_leaving_the_domain(slopes):
     assert sol.certificate is Certificate.NONE
     assert np.isnan(sol.residual_el1) and np.isnan(sol.residual_el2)
     assert np.isfinite(sol.objective)
+
+
+OVERFLOW_STEP = TermSumProblem(
+    TimeScale([0.0, 1.0, 2.0]), [Term(1.0, Lagrangian.from_expression("1e307*y + 0.01*v^2"), "delta")], 0.0, 0.0
+)
+
+
+def test_solve_reports_an_overflowing_newton_step():
+    # g = 1e307 and H = 0.04 make the Newton step -2.5e308, which is -inf
+    # without a floating-point exception; it counts as singular, and the
+    # steepest-descent steps that follow run into the overflow and stop
+    sol = solve(OVERFLOW_STEP)
+    assert not sol.converged and sol.certificate is Certificate.NONE
+    assert 0 < sol.iterations < 200
+    assert np.isfinite(sol.y.values).all()
+
+
+def test_backtrack_rejects_a_trial_that_is_not_finite():
+    x = np.zeros(1)
+    g = gradient(OVERFLOW_STEP, GridFunction(OVERFLOW_STEP.scale, np.zeros(3)))
+    assert _backtrack(OVERFLOW_STEP, x, float(np.max(np.abs(g))), np.array([-np.inf])) is None
+
+
+def _tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 160])
+def test_solve_band_matches_a_dense_solve(n):
+    # seeded symmetric systems: indefinite, diagonally dominant, and with a
+    # zero first pivot, which elimination can only pass by a row swap
+    rng = np.random.default_rng(n)
+    for case in range(30):
+        diag, off, rhs = rng.standard_normal(n), rng.standard_normal(n - 1), rng.standard_normal(n)
+        if case % 3 == 1:
+            diag = np.sign(diag) * (np.abs(np.pad(off, 1)[:-1]) + np.abs(np.pad(off, 1)[1:]) + 0.5)
+        elif case % 3 == 2 and n > 1:
+            diag[0] = 0.0
+        A = _tridiagonal(diag, off)
+        x, expected = _solve_band(diag, off, rhs), np.linalg.solve(A, rhs)
+        size = np.max(np.abs(A)) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+        assert np.max(np.abs(A @ x - rhs)) <= 1e-13 * n * size
+        assert np.max(np.abs(x - expected)) <= 1e-13 * np.linalg.cond(A, np.inf) * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "diag, off",
+    [
+        ([0.0], []),
+        ([0.0, 1.0], [0.0]),
+        ([1.0, 1.0], [1.0]),
+        ([1.0, 2.0, 1.0], [1.0, 1.0]),
+        ([0.0, 0.0, 0.0], [1.0, 1.0]),  # singular after a row swap
+    ],
+)
+def test_solve_band_raises_on_a_singular_system(diag, off):
+    assert np.linalg.matrix_rank(_tridiagonal(diag, off)) < len(diag)
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_band(np.array(diag), np.array(off), np.ones(len(diag)))
+
+
+def _dense_difference_hessian(p, x):
+    """Every column j of the central-difference Hessian, from gradients at
+    x +- h_j e_j, in an n x n array."""
+    H = np.empty((x.size, x.size))
+    h = variational.FD_STEP * np.maximum(1.0, np.abs(x))
+    for j in range(x.size):
+        g = []
+        for moved in (x[j] + h[j], x[j] - h[j]):
+            y = np.concatenate([[p.alpha], x, [p.beta]])
+            y[j + 1] = moved
+            g.append(gradient(p, GridFunction(p.scale, y)))
+        H[:, j] = (g[0] - g[1]) / (2.0 * h[j])
+    return H
+
+
+def _exact_hessian(p, texts, x):
+    """sympy's Hessian of the discrete objective at the interior values x:
+    over the gap [t_i, t_{i+1}] of length h, with slope w, the delta
+    integral adds h * L(t_i, y_{i+1}, w) and the nabla integral
+    h * L(t_{i+1}, y_i, w)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
+
+    t, y, v = sympy.symbols("t y v")
+    xs = sympy.symbols(f"x1:{x.size + 1}")
+    values = [sympy.Float(p.alpha), *xs, sympy.Float(p.beta)]
+    points = p.scale.points.tolist()
+    total = 0
+    for term, text in zip(p.terms, texts):
+        L = parse_expr(text, local_dict={"t": t, "y": y, "v": v},
+                       transformations=standard_transformations + (convert_xor,))
+        for i in range(len(points) - 1):
+            gap = points[i + 1] - points[i]
+            at, state = (i, i + 1) if term.kind == "delta" else (i + 1, i)
+            slope = (values[i + 1] - values[i]) / gap
+            total += term.weight * gap * L.subs({t: points[at], y: values[state], v: slope}, simultaneous=True)
+    return np.array(sympy.lambdify(xs, sympy.hessian(total, xs), "mpmath")(*x.tolist()).tolist(), float)
+
+
+@pytest.mark.parametrize(
+    "texts, weights, kinds",
+    [
+        # the ROADMAP baseline pair, whose exp(y)*v^2/2 couples y and v
+        (("t*v^2 + y^2", "exp(y)*v^2/2 + sin(t)*y"), (1.0, 1.0), ("delta", "nabla")),
+        # a negative-weight nabla term
+        (("t*v^2 + exp(y)", "0.2*v^2 + 0.2*y^2"), (1.0, -0.7), ("delta", "nabla")),
+    ],
+)
+def test_difference_band_is_the_difference_hessian(texts, weights, kinds):
+    terms = [Term(w, Lagrangian.from_expression(s), k) for s, w, k in zip(texts, weights, kinds)]
+    p = TermSumProblem(TimeScale.sampled_interval(1.0, 2.0, 9), terms, 0.0, 1.0)
+    x = linear_interpolant(p).values[1:-1] + np.random.default_rng(3).uniform(-0.5, 0.5, 7)
+    diag, off = _difference_band(p, x)
+    H = _dense_difference_hessian(p, x)
+    assert not np.triu(H, 2).any() and not np.tril(H, -2).any()
+    H = 0.5 * (H.T + H)
+    assert np.array_equal(diag, np.diag(H))
+    assert np.array_equal(off, np.diag(H, 1)) and np.array_equal(off, np.diag(H, -1))
+    exact = _exact_hessian(p, texts, x)
+    assert np.max(np.abs(_tridiagonal(diag, off) - exact)) <= 1e-6 * np.max(np.abs(exact))
+
+
+def test_solve_memory_is_linear_in_the_scale():
+    # a dense 639 x 639 Hessian alone would take 3.3 MB
+    L_delta, L_nabla = (Lagrangian.from_expression(s) for s in ("t*v^2 + y^2", "exp(y)*v^2/2 + sin(t)*y"))
+    p = DeltaNablaProblem(TimeScale.sampled_interval(1.0, 2.0, 641), 1.0, 1.0, L_delta, L_nabla, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        sol = solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.converged
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------
