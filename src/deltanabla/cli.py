@@ -144,12 +144,15 @@ def _csv_number(row: dict, key: str, i: int) -> float:
 def _read_trajectory_csv(path: str, loaded: LoadedProblem) -> GridFunction:
     ts = loaded.problem.scale
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "t" not in reader.fieldnames or "y" not in reader.fieldnames:
-            raise ProblemFileError("trajectory", "CSV needs 't' and 'y' columns")
-        for i, row in enumerate(reader, start=1):
-            rows.append((_csv_number(row, "t", i), _csv_number(row, "y", i)))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "t" not in reader.fieldnames or "y" not in reader.fieldnames:
+                raise ProblemFileError("trajectory", "CSV needs 't' and 'y' columns")
+            for i, row in enumerate(reader, start=1):
+                rows.append((_csv_number(row, "t", i), _csv_number(row, "y", i)))
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError("trajectory", f"not readable as text: {exc}") from None
     if len(rows) != len(ts):
         raise ProblemFileError(
             "trajectory", f"has {len(rows)} rows but the scale has {len(ts)} points"
@@ -241,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ProblemFileError, DomainError, EvaluationError, FloatingPointError, FileNotFoundError) as exc:
+    except (ProblemFileError, DomainError, EvaluationError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

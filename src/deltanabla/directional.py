@@ -31,6 +31,8 @@ from .timescale import (
     shift_sigma,
 )
 from .variational import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     HESSIAN,
     Lagrangian,
     Solution,
@@ -156,8 +158,8 @@ class DirectionalSolution(Solution):
 
 def solve_directional(
     p: DirectionalProblem,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     init: GridFunction | None = None,
 ) -> DirectionalSolution:
     """Solve the one-term delta (u > 0) or nabla (u < 0) problem.

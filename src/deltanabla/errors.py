@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ConfigurationError",
+    "DomainError",
+    "EvaluationError",
+    "ExpressionSyntaxError",
+    "ProblemFileError",
+    "ScaleMismatchError",
+]
+
 
 class DomainError(ValueError):
     """A point or range lies outside the domain of the requested operation."""

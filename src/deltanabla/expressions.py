@@ -32,6 +32,14 @@ import numpy as np
 
 from .errors import EvaluationError, ExpressionSyntaxError
 
+__all__ = [
+    "compile_expr",
+    "differentiate",
+    "evaluate",
+    "parse",
+    "to_source",
+]
+
 VARIABLES = ("t", "y", "v")
 FUNCTIONS = ("sin", "cos", "exp", "log")
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -445,10 +453,6 @@ def _mul(a: Expr, b: Expr) -> Expr:
 def _div(a: Expr, b: Expr) -> Expr:
     if _is_num(a, 0.0) and not _is_num(b, 0.0):
         return Num(0.0)
-    if _is_num(b, 1.0):
-        return a
-    if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
-        return Num(a.value / b.value)
     return Div(a, b)
 
 

@@ -34,6 +34,14 @@ from .timescale import (
     shift_sigma,
 )
 
+__all__ = [
+    "FAMILIES",
+    "IDENTITY_NAMES",
+    "identity_suite",
+    "random_grid_function",
+    "random_scale",
+]
+
 FAMILIES: dict[str, tuple[str, ...]] = {
     "integration_by_parts": (
         "ibp_sigma_delta",

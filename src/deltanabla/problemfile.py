@@ -28,10 +28,13 @@ from typing import Any
 from .errors import DomainError, ExpressionSyntaxError, ProblemFileError
 from .directional import DirectionalProblem
 from .timescale import TimeScale, _real
-from .variational import DeltaNablaProblem, Lagrangian
+from .variational import DEFAULT_MAX_ITER, DEFAULT_TOL, DeltaNablaProblem, Lagrangian
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
+__all__ = [
+    "LoadedProblem",
+    "load_problem",
+    "load_problem_dict",
+]
 
 # One row per kind: its problem class, its number keys and Lagrangian keys
 # in constructor order, and the error on the first number key when every
@@ -165,9 +168,10 @@ def load_problem_dict(data: dict) -> LoadedProblem:
 
 def load_problem(path: str | Path) -> LoadedProblem:
     """Read, parse, and validate a problem file."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError("<file>", f"not readable as text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError("<file>", f"invalid JSON: {exc}") from None
     return load_problem_dict(data)

@@ -47,6 +47,22 @@ import numpy as np
 
 from .errors import DomainError, ScaleMismatchError
 
+__all__ = [
+    "DomainTag",
+    "DuboisReymondReport",
+    "GridFunction",
+    "TimeScale",
+    "delta_derivative",
+    "delta_integral",
+    "dubois_reymond_probe",
+    "hat_variation",
+    "nabla_derivative",
+    "nabla_integral",
+    "shift_rho",
+    "shift_sigma",
+    "variation_constraint_matrix",
+]
+
 
 class DomainTag(Enum):
     """Named truncations of a time scale.

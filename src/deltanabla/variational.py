@@ -57,6 +57,25 @@ from .errors import (
 from . import expressions
 from .timescale import _STENCIL, DomainTag, GridFunction, TimeScale, _integer, _one_function, _real, _slopes
 
+__all__ = [
+    "Certificate",
+    "DeltaNablaProblem",
+    "Lagrangian",
+    "Solution",
+    "Term",
+    "TermSumProblem",
+    "certify",
+    "el_residual_1",
+    "el_residual_2",
+    "first_variation",
+    "gradient",
+    "linear_interpolant",
+    "local_min_probe",
+    "norm_1_inf",
+    "objective",
+    "solve",
+]
+
 FD_STEP = 1e-6  # central-difference step factor, times max(1, |x|)
 CHORD_FLOOR = 4.0  # no chord step d unless max|d| > this * eps * max(1, max|x|)
 HESSIAN = ("yy", "yv", "vv")  # the keys of the second partials in Lagrangian._on_arrays
@@ -596,10 +615,14 @@ def _solve_band(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarra
     return np.array(x[:n])
 
 
+DEFAULT_TOL = 1e-10  # solve's tol, and a problem file's when it gives none
+DEFAULT_MAX_ITER = 200  # solve's max_iter, and a problem file's when it gives none
+
+
 def solve(
     p: TermSumProblem,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     init: GridFunction | None = None,
 ) -> Solution:
     """Find a stationary trajectory by damped Newton on the gradient.

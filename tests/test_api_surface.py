@@ -1,11 +1,17 @@
-"""The public API's defaulted parameters, listed by name.
+"""The public API: where its names are declared, and its defaulted
+parameters, listed by name.
 
 Each defaulted parameter is an option a caller may set and every test and
 benchmark may have to cover, so adding or removing one is a deliberate
 change to this list, not a side effect.
 """
 
+import ast
+import importlib
 import inspect
+import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import deltanabla
 
@@ -53,3 +59,28 @@ def _defaulted() -> dict[str, tuple[str, ...]]:
 
 def test_defaulted_public_parameters_are_the_listed_ones():
     assert _defaulted() == DEFAULTED
+
+
+def test_each_exported_name_is_declared_once_in_its_own_module():
+    modules = [importlib.import_module(f"deltanabla.{m.name}") for m in pkgutil.iter_modules(deltanabla.__path__)]
+    declared = Counter()
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            declared[name] += 1
+            assert getattr(deltanabla, name) is getattr(module, name), (module.__name__, name)
+    assert sorted(deltanabla.__all__) == sorted(declared)  # each name in one module's list, once
+    assert set(declared.values()) == {1}
+
+
+def test_the_package_init_spells_no_exported_name():
+    spelled = set()  # every identifier and string constant (the docstring is one string)
+    for node in ast.walk(ast.parse(Path(deltanabla.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            spelled.add(node.id)
+        elif isinstance(node, ast.alias):
+            spelled.update((node.name, node.asname))
+        elif isinstance(node, ast.Attribute):
+            spelled.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            spelled.add(node.value)
+    assert not spelled & set(deltanabla.__all__)

@@ -160,12 +160,34 @@ DIRECTIONAL = {
         ({k: v for k, v in DIRECTIONAL.items() if k != "lagrangian"}, "lagrangian: missing"),
         ({k: v for k, v in EXAMPLE.items() if k != "gamma2"}, "gamma2: missing"),
         ({k: v for k, v in EXAMPLE.items() if k != "kind"}, "kind: missing"),
+        ([EXAMPLE], "<root>: problem file must hold a JSON object"),
+        (dict(EXAMPLE, timescale=[1, 3, 4]), "timescale: expected an object"),
+        (dict(EXAMPLE, timescale={"points": "1 3 4"}), "timescale.points: expected a list of numbers"),
+        (dict(EXAMPLE, timescale={"interval": [0, 1, 5]}), "timescale.interval: expected an object"),
+        (dict(EXAMPLE, timescale={"interval": {"b": 1, "n": 5}}), "timescale.interval.a: missing or invalid"),
+        (dict(EXAMPLE, timescale={"interval": {"a": 0, "b": 1, "n": 5.0}}),
+         "timescale.interval.n: expected an integer"),
+        (dict(EXAMPLE, timescale={"start": 0}), "timescale: needs either 'points' or 'interval'"),
+        (dict(EXAMPLE, timescale={"points": [1, 4]}), "timescale: the scale needs at least one interior point"),
+        (dict(EXAMPLE, lagrangian_delta=3), "lagrangian_delta: expected an expression string, got 3"),
+        (dict(EXAMPLE, boundary=[0, 1]), "boundary: expected an object"),
+        (dict(EXAMPLE, solver=[1e-9]), "solver: expected an object"),
+        (dict(EXAMPLE, solver={"tol": 0.0}), "solver.tol: must be positive"),
+        (dict(EXAMPLE, solver={"max_iter": 0}), "solver.max_iter: must be at least 1"),
     ],
 )
 def test_validation_error_texts(data, message):
     with pytest.raises(ProblemFileError) as err:
         load_problem_dict(data)
     assert str(err.value) == message
+
+
+def test_invalid_json_is_keyed_file(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text('{"kind": ')
+    with pytest.raises(ProblemFileError) as err:
+        load_problem(path)
+    assert str(err.value) == "<file>: invalid JSON: Expecting value: line 1 column 10 (char 9)"
 
 
 def test_kind_keys_recorded_in_order():
@@ -236,6 +258,39 @@ def test_cmd_solve_invalid_solver_tol_exit_1(tmp_path, capsys):
 
 def test_cmd_solve_missing_file_exit_1(tmp_path):
     assert main(["solve", str(tmp_path / "absent.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["solve", "{dir}"], None),
+        (["solve", "{problem}", "--out", "{dir}"], None),
+        (["solve", "{problem}", "--report", "{dir}"], None),
+        (["check", "{dir}", "{trajectory}"], None),
+        (["check", "{problem}", "{dir}"], None),
+        (["solve", "{undecodable}"], "<file>"),
+        (["check", "{undecodable}", "{trajectory}"], "<file>"),
+        (["check", "{problem}", "{undecodable}"], "trajectory"),
+    ],
+    ids=["solve-dir", "out-dir", "report-dir", "check-dir-problem", "check-dir-trajectory",
+         "solve-undecodable", "check-undecodable-problem", "check-undecodable-trajectory"],
+)
+def test_unreadable_input_is_an_input_error(tmp_path, capsys, argv, key):
+    # a directory, or bytes that are no text (a UTF-16 byte-order mark), in
+    # place of a file: one error line, exit 1, no traceback
+    undecodable = tmp_path / "undecodable"
+    undecodable.write_bytes(b"\xff\xfe{}\n")
+    paths = {
+        "dir": str(tmp_path),
+        "problem": write_problem(tmp_path, EXAMPLE),
+        "trajectory": write_trajectory(tmp_path, [1, 3, 4], [0.0, 7 / 9, 1.0]),
+        "undecodable": str(undecodable),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key}: " if key else "error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_cmd_solve_nonconverged_exit_2(tmp_path):

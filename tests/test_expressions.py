@@ -54,6 +54,14 @@ def test_parse_error_offsets():
     with pytest.raises(ExpressionSyntaxError, match="overflows") as err:
         ex.parse("v + 1e999")
     assert err.value.offset == 4
+    for src, offset in (("y )", 2), (")", 0)):
+        with pytest.raises(ExpressionSyntaxError, match=r"^unexpected token '\)' \(offset \d\)$") as err:
+            ex.parse(src)
+        assert err.value.offset == offset
+
+
+def test_parse_ignores_trailing_space():
+    assert ex.parse("y ") == ex.Var("y")
 
 
 def test_left_associativity():
@@ -227,6 +235,8 @@ def test_differentiate_examples():
     for t, v in [(1.0, 0.5), (3.0, 2.0), (4.0, -1.0)]:
         assert ex.evaluate(d3, t, 0.0, v) == pytest.approx(2 * t * v, abs=1e-13)
     assert ex.differentiate(tree, "y") == ex.Num(0.0)
+    with pytest.raises(ValueError, match=r"^var must be one of \('t', 'y', 'v'\), got 'x'$"):
+        ex.differentiate(tree, "x")
     dsin = ex.differentiate(ex.parse("sin(t)*y"), "t")
     for t, y in [(0.3, 1.5), (2.0, -0.5)]:
         assert ex.evaluate(dsin, t, y, 0.0) == pytest.approx(math.cos(t) * y, abs=1e-13)

@@ -116,6 +116,13 @@ def test_scales_equal_up_to_signed_zeros_hash_alike():
     assert negative.points.tobytes() != positive.points.tobytes()  # the points keep their sign
 
 
+def test_scale_repr_elides_past_six_points_and_equals_no_other_type():
+    assert repr(TimeScale(range(6))) == "TimeScale({0, 1, 2, 3, 4, 5})"
+    assert repr(TimeScale(range(8))) == "TimeScale({0, 1, 2, 3, 4, 5, ... (8 points)})"
+    assert TimeScale([0.0, 1.0]).__eq__(3) is NotImplemented
+    assert (TimeScale([0.0, 1.0]) == 3) is False
+
+
 def test_single_point_scale_constructible_but_ops_rejected():
     ts = TimeScale([2.0])
     f = GridFunction(ts, [1.0])
@@ -145,6 +152,14 @@ def test_grid_function_validation():
         GridFunction(T134, [1.0, 2.0])
     with pytest.raises(DomainError):
         GridFunction(T134, [1.0, np.nan, 2.0])
+
+
+def test_grid_function_difference_negation_and_repr():
+    f = GridFunction(T134, [1.0, 2.0, 3.0])
+    g = GridFunction(T134, [0.5, -1.0, 2.25])
+    assert np.array_equal((f - g).values, [0.5, 3.0, 0.75]) and (f - g).scale == T134
+    assert np.array_equal((-g).values, [-0.5, 1.0, -2.25]) and (-g).scale == T134
+    assert repr(f) == "GridFunction(TimeScale({1, 3, 4}), [1. 2. 3.])"
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
