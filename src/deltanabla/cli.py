@@ -145,7 +145,7 @@ def _read_trajectory_csv(path: str, loaded: LoadedProblem) -> GridFunction:
     ts = loaded.problem.scale
     rows = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "t" not in reader.fieldnames or "y" not in reader.fieldnames:
                 raise ProblemFileError("trajectory", "CSV needs 't' and 'y' columns")

@@ -469,12 +469,22 @@ def _pow_node(a: Expr, b: Expr) -> Expr:
         return a
     if _is_num(b, 0.0):
         return Num(1.0)
+    if isinstance(a, Num) and isinstance(b, Num):
+        try:
+            value = math.pow(a.value, b.value)
+        except (ValueError, OverflowError):  # left a node, so evaluation names the fault
+            value = math.nan
+        if math.isfinite(value):
+            return Num(value)
     return Pow(a, b)
 
 
 def differentiate(e: Expr, var: str) -> Expr:
     """Symbolic partial derivative with respect to one of t, y, v, with
-    local simplification (zero/one identities and constant folding)."""
+    local simplification: zero/one identities, and constant folding of
+    sums, differences, products and powers.  A power of two numbers folds
+    to ``math.pow``'s value when that is finite; one that raises or
+    overflows stays a ``Pow`` node, whose evaluation names the fault."""
     if var not in VARIABLES:
         raise ValueError(f"var must be one of {VARIABLES}, got {var!r}")
     return _diff(e, var)

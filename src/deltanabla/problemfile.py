@@ -167,9 +167,10 @@ def load_problem_dict(data: dict) -> LoadedProblem:
 
 
 def load_problem(path: str | Path) -> LoadedProblem:
-    """Read, parse, and validate a problem file."""
+    """Read, parse, and validate a problem file: UTF-8 text, which may
+    start with a byte-order mark."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ProblemFileError("<file>", f"not readable as text: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -22,13 +22,19 @@ gradient tolerance, nor when the chord step is a rounding-level move of
 the trajectory, nor after a steepest-descent step.  A solution's
 ``iterations`` counts Hessians, and ``solve``'s max_iter bounds them.
 The stopping rule on max|g| is the one without chord steps, so how far a
-solution lands below tol moves case by case with the path.
+solution lands below tol moves case by case with the path.  The
+trajectories ``solve`` builds itself, each probe (a new copy of the
+iterate with one entry moved), each line-search trial and each iterate,
+are new finite arrays that it owns: they become read-only grid functions
+as they stand, not copied and checked again as a caller's are.
 
 Every delta term and every nabla term is one two-point stencil,
 sum_i gap_i * L(t_e, y_s, (y_{i+1} - y_i) / gap_i), with (e, s) = (i, i+1)
 for delta and (i+1, i) for nabla, read off the stencil table of
-``timescale``.  The objective, the gradient, the first variation and the
-Euler-Lagrange forms are all built from it, so the two kinds differ in
+``timescale``.  A problem lays out each active term's stencil row once,
+when it is built: the term, its slices e and s, the points t_e and the
+gaps at e.  The objective, the gradient, the first variation and the
+Euler-Lagrange forms all read those rows, so the two kinds differ in
 that table alone.  The first Euler-Lagrange form at sigma(t)
 equals the second at t: both forms hold the same values on shifted
 domains, and ``residual_el1 == residual_el2``.
@@ -257,19 +263,20 @@ class Lagrangian:
         return self._on_arrays(HESSIAN, t, y, v)
 
 
-def _samples(t, y, v) -> tuple[tuple[int, ...], list[memoryview]]:
-    """The broadcast shape of t, y and v, and each flattened to a column
-    that iterates as Python floats."""
+def _samples(t, y, v) -> tuple[tuple[int, ...], list[list[float]]]:
+    """The broadcast shape of t, y and v, and each flattened to a column,
+    one list of Python floats."""
     arrays = [np.asarray(a, float) for a in (t, y, v)]
     if not arrays[0].shape == arrays[1].shape == arrays[2].shape:
         arrays = np.broadcast_arrays(*arrays)
-    return arrays[0].shape, [memoryview(a.ravel()) for a in arrays]
+    return arrays[0].shape, [a.ravel().tolist() for a in arrays]
 
 
 def _stream(fns: Sequence[Callable], t, y, v) -> tuple[np.ndarray, ...]:
     """Each scalar function of fns at every sample of the broadcast arrays
     t, y and v, one array of the broadcast shape each: function after
-    function, each over the samples in order, on Python floats."""
+    function, each over the samples in order, on Python floats read once
+    for them all."""
     shape, columns = _samples(t, y, v)
     count = math.prod(shape)
     return tuple(
@@ -310,6 +317,13 @@ class TermSumProblem:
         if not self.active_terms:
             raise DomainError("all term weights vanish; nothing to extremize")
         self.scale = scale
+        # each active term's stencil row: the term, its slices e and s, the
+        # points t_e and the gaps at e, which weigh d2 at the interior points
+        self._stencils = tuple(
+            (term, e, s, scale.points[e], scale.gaps()[e])
+            for term in self.active_terms
+            for e, s, _ in [_STENCIL[term.kind]]
+        )
 
 
 class DeltaNablaProblem(TermSumProblem):
@@ -347,16 +361,16 @@ def _check_scales(p: TermSumProblem, y: GridFunction) -> None:
 
 def _term_partials(
     p: TermSumProblem, y: GridFunction
-) -> Iterator[tuple[Term, slice, slice, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[Term, slice, slice, np.ndarray, np.ndarray, np.ndarray]]:
     """Check y's scale, then yield each active term with its stencil slices
-    e and s and its partials d2 and d3 at y, one value per gap."""
+    e and s, its gaps at e, and its partials d2 and d3 at y, one value per
+    gap."""
     _check_scales(p, y)
-    ts = p.scale
-    slope = _slopes(ts, y.values)
-    for term in p.active_terms:
-        e, s, _ = _STENCIL[term.kind]
-        d2, d3 = term.lagrangian.partials(ts.points[e], y.values[s], slope)
-        yield term, e, s, d2, d3
+    values = y.values
+    slope = _slopes(p.scale, values)
+    for term, e, s, t_e, gaps_e in p._stencils:
+        d2, d3 = term.lagrangian.partials(t_e, values[s], slope)
+        yield term, e, s, gaps_e, d2, d3
 
 
 def _objectives(p: TermSumProblem, ys: np.ndarray) -> np.ndarray:
@@ -365,13 +379,12 @@ def _objectives(p: TermSumProblem, ys: np.ndarray) -> np.ndarray:
     whole stack.  Each row's gap * L sum is accumulated left to right by
     ``np.cumsum``, whatever the Python and the numpy, never pairwise or
     compensated."""
-    ts = p.scale
+    gaps = p.scale.gaps()
     total = np.zeros(ys.shape[:-1])
-    slope = _slopes(ts, ys)
-    for term in p.active_terms:
-        e, s, _ = _STENCIL[term.kind]
-        values = term.lagrangian.values(ts.points[e], ys[..., s], slope)
-        total += term.weight * np.cumsum(ts.gaps() * values, axis=-1)[..., -1]
+    slope = _slopes(p.scale, ys)
+    for term, _, s, t_e, _ in p._stencils:
+        values = term.lagrangian.values(t_e, ys[..., s], slope)
+        total += term.weight * np.cumsum(gaps * values, axis=-1)[..., -1]
     return total
 
 
@@ -393,7 +406,7 @@ def _el_form(p: TermSumProblem, y: GridFunction) -> np.ndarray:
     """
     ts = p.scale
     F = np.zeros(len(ts) - 1)
-    for term, e, _, d2, d3 in _term_partials(p, y):
+    for term, e, _, _, d2, d3 in _term_partials(p, y):
         prefix = np.concatenate([[0.0], np.cumsum(ts.gaps() * d2)])
         F += term.weight * (d3 - prefix[e])
     return F - np.mean(F)
@@ -430,7 +443,7 @@ def first_variation(p: TermSumProblem, y: GridFunction, eta: GridFunction) -> fl
     ts = p.scale
     ev = eta.values
     total = 0.0
-    for term, _, s, d2, d3 in _term_partials(p, y):
+    for term, _, s, _, d2, d3 in _term_partials(p, y):
         total += term.weight * float(ts.gaps() * d2 @ ev[s] + d3 @ np.diff(ev))
     return total
 
@@ -439,14 +452,13 @@ def gradient(p: TermSumProblem, y: GridFunction) -> np.ndarray:
     """Gradient of the functional with respect to the interior trajectory
     values; stationarity of these is exactly constancy of both
     Euler-Lagrange forms."""
-    gaps = p.scale.gaps()
-    g = np.zeros(len(gaps) - 1)
-    for term, e, _, d2, d3 in _term_partials(p, y):
+    g = np.zeros(len(p.scale) - 2)
+    for term, e, _, gaps_e, d2, d3 in _term_partials(p, y):
         # gap * d2 lands on the state point, which is interior for the gaps
         # that e picks, all but the gap that ends (delta) or starts (nabla)
         # at an endpoint; d3 enters each gap's right end and leaves its left
         # end.  At each interior point the three are summed in this order
-        interior = gaps[e] * d2[e] + d3[:-1]
+        interior = gaps_e * d2[e] + d3[:-1]
         interior -= d3[1:]
         g += term.weight * interior
     return g
@@ -498,8 +510,19 @@ def _full(p: TermSumProblem, interior: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _owned(ts: TimeScale, values: np.ndarray) -> GridFunction:
+    """A GridFunction on ts holding values, a new finite array of ts's shape
+    that nothing else holds, as ``solve`` builds them: marked read-only and
+    kept, not copied and checked again as ``GridFunction`` does."""
+    values.setflags(write=False)
+    y = object.__new__(GridFunction)
+    y.scale, y.values = ts, values
+    return y
+
+
 def _assemble(p: TermSumProblem, interior: np.ndarray) -> GridFunction:
-    return GridFunction(p.scale, _full(p, interior))
+    """The trajectory of finite interior values, alpha and beta at the ends."""
+    return _owned(p.scale, _full(p, interior))
 
 
 def _in_domain(f: Callable, *args):
@@ -559,28 +582,29 @@ def _difference_band(p: TermSumProblem, x: np.ndarray) -> tuple[np.ndarray, np.n
     interior values x, as (diagonal, off-diagonal).
 
     Column j is (g(x + h_j e_j) - g(x - h_j e_j)) / (2 h_j), two gradient
-    calls.  A gradient row reads only its point and its two neighbours, so
-    the column is zero off rows j - 1, j and j + 1, and only those three
+    calls, each on a new copy of alpha, x, beta with one entry moved.  A
+    gradient row reads only its point and its two neighbours, so the
+    column is zero off rows j - 1, j and j + 1, and only those three
     entries are kept.  The off-diagonal is the mean of the entry below the
-    diagonal in one column and the entry above it in the next."""
+    diagonal in one column and the entry above it in the next.  A probe
+    that is not finite raises ``FloatingPointError``, as one that
+    overflows does."""
     n = x.size
-    diag, below, above = np.empty(n), np.empty(n - 1), np.empty(n - 1)
     h = FD_STEP * np.maximum(1.0, np.abs(x))
     x_plus, x_minus = x + h, x - h
-    probe = _full(p, x)  # alpha, x, beta; one coordinate moved, restored after its column
+    if not (np.isfinite(x_plus).all() and np.isfinite(x_minus).all()):
+        raise FloatingPointError("a probe is not finite")
+    center = _full(p, x)
+    # rows j - 1, j and j + 1 of column j; the two clipped at the ends are never read
+    near = np.clip(np.arange(n)[:, None] + np.arange(-1, 2), 0, n - 1)
+    plus, minus = np.empty((n, 3)), np.empty((n, 3))
     for j in range(n):
-        probe[j + 1] = x_plus[j]
-        g_plus = gradient(p, GridFunction(p.scale, probe))
-        probe[j + 1] = x_minus[j]
-        g_minus = gradient(p, GridFunction(p.scale, probe))
-        probe[j + 1] = x[j]
-        col = (g_plus - g_minus) / (2.0 * h[j])
-        diag[j] = col[j]
-        if j > 0:
-            above[j - 1] = col[j - 1]
-        if j < n - 1:
-            below[j] = col[j + 1]
-    return diag, 0.5 * (below + above)
+        for moved, out in ((x_plus, plus), (x_minus, minus)):
+            probe = center.copy()
+            probe[j + 1] = moved[j]
+            out[j] = gradient(p, _owned(p.scale, probe))[near[j]]
+    cols = (plus - minus) / (2.0 * h)[:, None]
+    return cols[:, 1], 0.5 * (cols[:-1, 2] + cols[1:, 0])
 
 
 def _solve_band(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:

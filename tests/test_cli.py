@@ -293,6 +293,30 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys, argv, key):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", [p.name for p in sorted(DEMO_PROBLEMS.glob("*.json"))])
+def test_files_with_a_utf8_byte_order_mark_read_as_without(tmp_path, capsys, name):
+    # spreadsheets save "CSV UTF-8" with a byte-order mark; solve on a marked
+    # problem file, and check on it and a marked trajectory, give the plain
+    # files' output byte for byte
+    bom = b"\xef\xbb\xbf"
+    plain, marked = DEMO_PROBLEMS / name, tmp_path / name
+    marked.write_bytes(bom + plain.read_bytes())
+    solves = []
+    for problem, tag in ((plain, "plain"), (marked, "marked")):
+        out, report = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        code = main(["solve", str(problem), "--out", str(out), "--report", str(report)])
+        solves.append((code, capsys.readouterr(), out.read_bytes(), report.read_bytes()))
+    assert solves[0] == solves[1]
+    assert solves[0][1].err == ""
+    (tmp_path / "marked.csv").write_bytes(bom + solves[0][2])
+    checks = []
+    for problem, tag in ((plain, "plain"), (marked, "marked")):
+        code = main(["check", str(problem), str(tmp_path / f"{tag}.csv")])
+        checks.append((code, capsys.readouterr()))
+    assert checks[0] == checks[1]
+    assert checks[0][0] == 0 and checks[0][1].err == ""
+
+
 def test_cmd_solve_nonconverged_exit_2(tmp_path):
     data = json.loads(json.dumps(EXAMPLE))
     data["timescale"] = {"points": [0.0, 0.5, 1.0, 1.5, 2.0]}

@@ -259,6 +259,37 @@ def test_differentiate_nonconstant_exponent():
     assert ex.evaluate(dy, t, y, 0.0) == pytest.approx(t**y * math.log(t), rel=1e-12)
 
 
+def _nodes(e):
+    yield e
+    for child in vars(e).values():
+        if not isinstance(child, (str, float)):  # a subtree, not a name or a value
+            yield from _nodes(child)
+
+
+def test_differentiate_folds_constant_powers():
+    # the quotient rule squares the constant denominator: 2.0^2.0 is 4.0
+    for var in ("y", "v"):
+        d = ex.differentiate(ex.parse("exp(y)*v^2/2"), var)
+        assert not any(isinstance(n, ex.Pow) and isinstance(n.base, ex.Num) and isinstance(n.exponent, ex.Num)
+                       for n in _nodes(d))
+    assert ex.to_source(ex.differentiate(ex.parse("v^2/2"), "v")) == "2.0*v*2.0/4.0"
+
+
+def test_constant_powers_that_fault_stay_nodes_and_fault_when_evaluated():
+    # a square that overflows keeps its node, and evaluation names it
+    d = ex.differentiate(ex.parse("v/1e200"), "v")
+    assert ex.Pow(ex.Num(1e200), ex.Num(2.0)) in set(_nodes(d))
+    with pytest.raises(EvaluationError, match=r"^overflow in '1e\+200\^2\.0'$"):
+        ex.evaluate(d, 0.0, 0.0, 0.0)
+    # a negative base with a fractional exponent raises in math.pow
+    invalid = ex._pow_node(ex.Num(-8.0), ex.Num(0.5))
+    assert invalid == ex.Pow(ex.Num(-8.0), ex.Num(0.5))
+    with pytest.raises(EvaluationError, match=r"^invalid power -8\.0 \^ 0\.5 in "):
+        ex.evaluate(invalid, 0.0, 0.0, 0.0)
+    assert ex._pow_node(ex.Num(10.0), ex.Num(400.0)) == ex.Pow(ex.Num(10.0), ex.Num(400.0))
+    assert ex._pow_node(ex.Num(3.0), ex.Num(2.0)) == ex.Num(9.0)
+
+
 def test_differentiate_log_derivative_errors_only_at_evaluation():
     dlog = ex.differentiate(ex.parse("log(y)"), "y")  # fine symbolically
     assert ex.evaluate(dlog, 0.0, 2.0, 0.0) == pytest.approx(0.5)

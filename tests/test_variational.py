@@ -1094,6 +1094,24 @@ def test_backtrack_rejects_a_trial_that_is_not_finite():
     assert _backtrack(OVERFLOW_STEP, x, float(np.max(np.abs(g))), np.array([-np.inf])) is None
 
 
+@pytest.mark.parametrize("kind", ["delta", "nabla"])
+@pytest.mark.parametrize("delta, accepted", [(5e-5, False), (2e-4, True)])
+def test_backtrack_needs_a_decrease_of_1e_4_lambda(kind, delta, accepted):
+    # the gradient of v^2 + y^2 is affine, so a step d with H d = -delta g
+    # scales it by 1 - lam * delta: 0.99995 at lam = 1 misses the rule's
+    # 1 - 1e-4 * lam at every lam, 0.9998 meets it at once
+    p = TermSumProblem(TimeScale.sampled_interval(0, 1, 9), [Term(1.0, Lagrangian.from_expression("v^2 + y^2"), kind)], 0.0, 1.0)
+    y0 = linear_interpolant(p)
+    x = y0.values[1:-1].copy()
+    g = gradient(p, y0)
+    step = delta * _solve_band(*_difference_band(p, x), -g)
+    found = _backtrack(p, x, float(np.max(np.abs(g))), step)
+    if accepted:
+        assert found is not None and found[0] == 1.0
+    else:
+        assert found is None
+
+
 def _tridiagonal(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -1194,6 +1212,30 @@ def test_difference_band_is_the_difference_hessian(texts, weights, kinds):
     assert np.max(np.abs(_tridiagonal(diag, off) - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
+def test_solve_passes_gradient_read_only_trajectories_of_their_own(monkeypatch):
+    # solve's probes, trials and iterates skip GridFunction's copy: each
+    # must still be read-only, and hold the values it was passed with
+    # after the Hessian is built and the solve has moved on
+    seen = []
+
+    def recording(p, y):
+        seen.append((y, y.values.copy()))
+        return gradient(p, y)
+
+    monkeypatch.setattr(variational, "gradient", recording)
+    L_delta, L_nabla = (Lagrangian.from_expression(s) for s in ("exp(2*v) + y^2", "exp(y)"))
+    p = DeltaNablaProblem(TimeScale.sampled_interval(0.0, 1.0, 9), 1.0, 1.0, L_delta, L_nabla, 0.0, 4.0)
+    sol = solve(p)
+    assert sol.converged and sol.iterations > 1
+    assert len(seen) > sol.iterations * 2 * 7
+    for y, values in seen:
+        assert not y.values.flags.writeable
+        assert np.array_equal(y.values, values)
+    assert not sol.y.values.flags.writeable
+    with pytest.raises(ValueError):
+        sol.y.values[1] = 0.0
+
+
 def test_solve_memory_is_linear_in_the_scale():
     # a dense 639 x 639 Hessian alone would take 3.3 MB
     L_delta, L_nabla = (Lagrangian.from_expression(s) for s in ("t*v^2 + y^2", "exp(y)*v^2/2 + sin(t)*y"))
@@ -1277,6 +1319,19 @@ def test_certify_unconverged_none():
     sol = solve(example_problem(1.0, 1.0))
     sol.converged = False
     assert certify(example_problem(1.0, 1.0), sol) is Certificate.NONE
+
+
+@pytest.mark.parametrize("kind", ["delta", "nabla"])
+@pytest.mark.parametrize("c, expected", [(1e-9, Certificate.LOCAL_ONLY), (2.5e-10, Certificate.GLOBAL_MIN)])
+def test_certify_eigenvalue_tolerance_is_1e_9(kind, c, expected):
+    # the Hessian of v^2/2 - c*y^2 has the eigenvalues 1 and -2c, so the
+    # verdict turns at c = CERTIFY_EIG_TOL / 2: a tolerance of 1e-8 would
+    # certify the first problem, one of 1e-10 would not certify the second
+    L = Lagrangian.from_expression(f"v^2/2 - {c!r}*y^2")
+    p = TermSumProblem(TimeScale.sampled_interval(0, 1, 21), [Term(1.0, L, kind)], 0.0, 1.0)
+    sol = solve(p)
+    assert sol.converged
+    assert sol.certificate is expected
 
 
 def full_sweep_certificate(p: TermSumProblem, y: GridFunction) -> Certificate:
