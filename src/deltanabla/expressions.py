@@ -8,6 +8,10 @@ back to source, differentiated symbolically, or compiled to a fast callable
 over Python floats or over numpy arrays, several trees to one numpy kernel
 that evaluates their shared subtrees once.
 
+Each operator node is one row of the table ``_OPS`` and each function one
+row of ``_CALLS``; printing, compiling, evaluating and differentiating all
+read those rows.
+
 Grammar (EBNF):
 
     expr    = term , { ("+" | "-") , term } ;
@@ -26,7 +30,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +45,6 @@ __all__ = [
 ]
 
 VARIABLES = ("t", "y", "v")
-FUNCTIONS = ("sin", "cos", "exp", "log")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -61,27 +64,25 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
+class _Binary:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Add(_Binary):
+    """left + right"""
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Sub(_Binary):
+    """left - right"""
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Mul(_Binary):
+    """left * right"""
+
+
+class Div(_Binary):
+    """left / right"""
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,90 @@ Expr = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
 
 
 # ---------------------------------------------------------------------------
+# The operator and function tables
+# ---------------------------------------------------------------------------
+
+# precedence levels, loosest first
+_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
+
+
+class _Op(NamedTuple):
+    prec: int  # how tightly the node's spelling binds
+    text: tuple  # the spelling's text before, between and after the operands
+    bounds: tuple  # per operand, the least precedence it may have outside parentheses
+    fn: Callable  # the float operation of evaluate: a domain fault raises its message
+    rule: Callable  # (node, var) -> the node's derivative in var
+
+
+def _div_float(a: float, b: float) -> float:
+    if b == 0.0:
+        raise ZeroDivisionError("division by zero")
+    return a / b
+
+
+def _pow_float(a: float, b: float) -> float:
+    try:
+        return math.pow(a, b)
+    except ValueError:
+        raise ValueError(f"invalid power {a!r} ^ {b!r}") from None
+    except OverflowError:
+        raise OverflowError("overflow") from None
+
+
+def _log_float(a: float) -> float:
+    if a <= 0.0:
+        raise ValueError(f"log of non-positive value {a!r}")
+    return math.log(a)
+
+
+def _power_rule(e: Pow, var: str) -> Expr:
+    u, w = e.base, e.exponent
+    du = _diff(u, var)
+    if isinstance(w, Num):  # power rule: c * u^(c-1) * u'
+        return _mul(_mul(w, _pow_node(u, Num(w.value - 1.0))), du)
+    # general case u^w = exp(w log u); evaluation restricts to u > 0
+    return _mul(e, _add(_mul(_diff(w, var), Call("log", u)), _div(_mul(w, du), u)))
+
+
+# A left operand may have its parent's precedence and a right one must bind
+# tighter (a - (b - c)), except for the right-associative power, whose base
+# must bind tighter than a power and whose exponent may be a negation (t^-2).
+_OPS = {
+    Neg: _Op(_NEG, ("-", ""), (_NEG,), operator.neg, lambda e, var: _neg(_diff(e.arg, var))),
+    Add: _Op(_ADD, ("", " + ", ""), (_ADD, _ADD + 1), operator.add,
+             lambda e, var: _add(_diff(e.left, var), _diff(e.right, var))),
+    Sub: _Op(_ADD, ("", " - ", ""), (_ADD, _ADD + 1), operator.sub,
+             lambda e, var: _sub(_diff(e.left, var), _diff(e.right, var))),
+    Mul: _Op(_MUL, ("", "*", ""), (_MUL, _MUL + 1), operator.mul,
+             lambda e, var: _add(_mul(_diff(e.left, var), e.right), _mul(e.left, _diff(e.right, var)))),
+    Div: _Op(_MUL, ("", "/", ""), (_MUL, _MUL + 1), _div_float,
+             lambda e, var: _div(_sub(_mul(_diff(e.left, var), e.right), _mul(e.left, _diff(e.right, var))),
+                                 _pow_node(e.right, Num(2.0)))),
+    Pow: _Op(_POW, ("", "^", ""), (_POW + 1, _NEG), _pow_float, _power_rule),
+}
+
+# Python spells a power as the call _pow(base, exponent): an atom, whose
+# operands need no parentheses
+_PY_OPS = {**_OPS, Pow: _OPS[Pow]._replace(prec=_ATOM, text=("_pow(", ", ", ")"), bounds=(0, 0))}
+
+_CALLS = {
+    name: _Op(_ATOM, (name + "(", ")"), (0,), fn, rule)
+    for name, fn, rule in (
+        ("sin", math.sin, lambda e, var: _mul(Call("cos", e.arg), _diff(e.arg, var))),
+        ("cos", math.cos, lambda e, var: _neg(_mul(Call("sin", e.arg), _diff(e.arg, var)))),
+        ("exp", math.exp, lambda e, var: _mul(Call("exp", e.arg), _diff(e.arg, var))),
+        ("log", _log_float, lambda e, var: _div(_diff(e.arg, var), e.arg)),
+    )
+}
+FUNCTIONS = tuple(_CALLS)
+
+
+def _row(e: Expr, table: dict = _OPS) -> _Op:
+    """The row of the compound node e: in ``table``, or in ``_CALLS`` for a call."""
+    return _CALLS[e.fn] if isinstance(e, Call) else table[type(e)]
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
@@ -108,6 +193,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )
+
+_INFIX = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -163,16 +250,14 @@ class _Parser:
         node = self.term()
         while (tok := self._peek()) is not None and tok[1] in ("+", "-"):
             self._next()
-            rhs = self.term()
-            node = Add(node, rhs) if tok[1] == "+" else Sub(node, rhs)
+            node = _INFIX[tok[1]](node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.unary()
         while (tok := self._peek()) is not None and tok[1] in ("*", "/"):
             self._next()
-            rhs = self.unary()
-            node = Mul(node, rhs) if tok[1] == "*" else Div(node, rhs)
+            node = _INFIX[tok[1]](node, self.unary())
         return node
 
     def unary(self) -> Expr:
@@ -201,7 +286,7 @@ class _Parser:
                 raise ExpressionSyntaxError(f"number {text!r} overflows", off)
             return Num(value)
         if kind == "ident":
-            if text in FUNCTIONS:
+            if text in _CALLS:
                 self._expect_op("(")
                 arg = self.expr()
                 self._expect_op(")")
@@ -228,62 +313,40 @@ def parse(src: str) -> Expr:
 # Printing
 # ---------------------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
-# Each binary operator node: its source spelling, its precedence and its
-# Python operator.  Printing, compiling and evaluating all read this table.
-_BINARY = {
-    Add: (" + ", _PREC_ADD, operator.add),
-    Sub: (" - ", _PREC_ADD, operator.sub),
-    Mul: ("*", _PREC_MUL, operator.mul),
-    Div: ("/", _PREC_MUL, operator.truediv),
-}
-
-
-def _prec(e: Expr) -> int:
-    if type(e) in _BINARY:
-        return _BINARY[type(e)][1]
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Num) and e.value < 0:
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _wrap(e: Expr, outer: int, strict: bool = False) -> str:
-    s = to_source(e)
-    p = _prec(e)
-    if p < outer or (strict and p == outer):
-        return f"({s})"
-    return s
+def _spell(e: Expr, table: dict, bind: Callable[[str], str] | None = None, bound: int = 0) -> str:
+    """Source of e in the spelling of ``table``, ``_OPS`` for the language
+    or ``_PY_OPS`` for Python, in parentheses when its precedence is below
+    ``bound``.  With ``bind``, the source of each compound node passes
+    through it, and the name it returns stands for the node in its parent."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Num):
+        src, prec = repr(e.value), _NEG if e.value < 0 else _ATOM
+    else:
+        prec, text, bounds, _, _ = _row(e, table)
+        # each operand by its own call: a loop would cost more than the rest
+        if len(bounds) == 1:  # a negation or a call, whose operand is arg
+            src = f"{text[0]}{_spell(e.arg, table, bind, bounds[0])}{text[1]}"
+        else:
+            left, right = vars(e).values()
+            src = (f"{text[0]}{_spell(left, table, bind, bounds[0])}"
+                   f"{text[1]}{_spell(right, table, bind, bounds[1])}{text[2]}")
+        if bind is not None:
+            return bind(src)
+    return f"({src})" if prec < bound else src
 
 
 def to_source(e: Expr) -> str:
     """Render back to parseable source; re-parsing yields an equal tree."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _PREC_NEG)
-    if type(e) in _BINARY:
-        spelling, prec, _ = _BINARY[type(e)]
-        return f"{_wrap(e.left, prec)}{spelling}{_wrap(e.right, prec, strict=True)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_POW, strict=True)}^{_wrap(e.exponent, _PREC_NEG)}"
-    if isinstance(e, Call):
-        return f"{e.fn}({to_source(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    return _spell(e, _OPS)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-_FN_TABLE = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
-_NAMESPACE = {"_pow": math.pow, "inf": math.inf, "nan": math.nan, **_FN_TABLE}
+_NAMESPACE = {"_pow": math.pow, "inf": math.inf, "nan": math.nan, **{name: getattr(math, name) for name in _CALLS}}
 
 
 def _broadcast(out, t, y, v):
@@ -298,20 +361,14 @@ def _broadcast(out, t, y, v):
     return out if same else np.broadcast_arrays(out, t, y, v)[0]
 
 
-_ARRAY_NAMESPACE = {
-    "_pow": np.power,
-    "inf": np.inf,
-    "nan": np.nan,
-    "_broadcast": _broadcast,
-    **{name: getattr(np, name) for name in FUNCTIONS},
-}
+_ARRAY_NAMESPACE = {"_pow": np.power, "inf": np.inf, "nan": np.nan, "_broadcast": _broadcast,
+                    **{name: getattr(np, name) for name in _CALLS}}
 
 
 def evaluate(e: Expr, t: float, y: float, v: float) -> float:
     """Evaluate at (t, y, v); domain violations and non-finite results raise
     EvaluationError naming the offending subexpression."""
-    env = {"t": t, "y": y, "v": v}
-    return _eval(e, env)
+    return _eval(e, {"t": t, "y": y, "v": v})
 
 
 def _fail(e: Expr, why: str) -> EvaluationError:
@@ -321,33 +378,19 @@ def _fail(e: Expr, why: str) -> EvaluationError:
 def _eval(e: Expr, env: dict[str, float]) -> float:
     if isinstance(e, Var):
         return env[e.name]
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env)
     if isinstance(e, Num):
         out = e.value  # folding can overflow to a non-finite constant
-    elif type(e) in _BINARY:
-        left, right = _eval(e.left, env), _eval(e.right, env)
-        if isinstance(e, Div) and right == 0.0:
-            raise _fail(e, "division by zero")
-        out = _BINARY[type(e)][2](left, right)
-    elif isinstance(e, Pow):
-        base, exp = _eval(e.base, env), _eval(e.exponent, env)
+    else:  # one frame per level, fewer than differentiating took: a tree that loaded evaluates
+        row = _row(e)
+        if len(row.bounds) == 1:  # a negation or a call, whose operand is arg
+            args = (_eval(e.arg, env),)
+        else:
+            left, right = vars(e).values()
+            args = (_eval(left, env), _eval(right, env))
         try:
-            out = math.pow(base, exp)
-        except ValueError:
-            raise _fail(e, f"invalid power {base!r} ^ {exp!r}") from None
-        except OverflowError:
-            raise _fail(e, "overflow") from None
-    elif isinstance(e, Call):
-        arg = _eval(e.arg, env)
-        if e.fn == "log" and arg <= 0.0:
-            raise _fail(e, f"log of non-positive value {arg!r}")
-        try:
-            out = _FN_TABLE[e.fn](arg)
-        except (ValueError, OverflowError) as exc:
+            out = row.fn(*args)
+        except (ArithmeticError, ValueError) as exc:
             raise _fail(e, str(exc)) from None
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
     if not math.isfinite(out):
         raise _fail(e, "non-finite result")
     return out
@@ -362,7 +405,7 @@ def compile_expr(e: Expr) -> Callable:
     failing subexpression.  ``compile_kernel`` compiles trees for numpy
     arrays.
     """
-    return eval(f"lambda t, y, v: {_py_source(e)}", _NAMESPACE)
+    return eval(f"lambda t, y, v: {_spell(e, _PY_OPS)}", _NAMESPACE)
 
 
 def compile_kernel(trees: Sequence[Expr]) -> Callable:
@@ -383,30 +426,11 @@ def compile_kernel(trees: Sequence[Expr]) -> Callable:
     def bind(src: str) -> str:
         return local.setdefault(src, f"_{len(local)}")
 
-    outs = "".join(f"_broadcast({_py_source(e, bind)}, t, y, v), " for e in trees)
+    outs = "".join(f"_broadcast({_spell(e, _PY_OPS, bind)}, t, y, v), " for e in trees)
     body = "".join(f"    {name} = {src}\n" for src, name in local.items())
     env = dict(_ARRAY_NAMESPACE)
     exec(f"def kernel(t, y, v):\n{body}    return ({outs})\n", env)
     return env["kernel"]
-
-
-def _py_source(e: Expr, bind: Callable[[str], str] = "({})".format) -> str:
-    """Python source of e over t, y and v.  The source of each compound
-    node, spelled with its children's, passes through ``bind``, which
-    returns how the parent spells it: in parentheses by default."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return bind(f"-{_py_source(e.arg, bind)}")
-    if type(e) in _BINARY:
-        return bind(f"{_py_source(e.left, bind)}{_BINARY[type(e)][0]}{_py_source(e.right, bind)}")
-    if isinstance(e, Pow):
-        return bind(f"_pow({_py_source(e.base, bind)}, {_py_source(e.exponent, bind)})")
-    if isinstance(e, Call):
-        return bind(f"{e.fn}({_py_source(e.arg, bind)})")
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -414,44 +438,42 @@ def _py_source(e: Expr, bind: Callable[[str], str] = "({})".format) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _is_num(e: Expr, value: float | None = None) -> bool:
-    return isinstance(e, Num) and (value is None or e.value == value)
+def _const(e: Expr) -> float | None:
+    """The value of e when e is a number, else None."""
+    return e.value if isinstance(e, Num) else None
 
 
 def _add(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0):
+    x, y = _const(a), _const(b)
+    if x == 0.0:
         return b
-    if _is_num(b, 0.0):
+    if y == 0.0:
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
-    return Add(a, b)
+    return Num(x + y) if x is not None and y is not None else Add(a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_num(b, 0.0):
+    x, y = _const(a), _const(b)
+    if y == 0.0:
         return a
-    if _is_num(a, 0.0):
+    if x == 0.0:
         return _neg(b)
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    return Sub(a, b)
+    return Num(x - y) if x is not None and y is not None else Sub(a, b)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
+    x, y = _const(a), _const(b)
+    if x == 0.0 or y == 0.0:
         return Num(0.0)
-    if _is_num(a, 1.0):
+    if x == 1.0:
         return b
-    if _is_num(b, 1.0):
+    if y == 1.0:
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
-    return Mul(a, b)
+    return Num(x * y) if x is not None and y is not None else Mul(a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0) and not _is_num(b, 0.0):
+    if _const(a) == 0.0 and _const(b) != 0.0:
         return Num(0.0)
     return Div(a, b)
 
@@ -465,13 +487,14 @@ def _neg(a: Expr) -> Expr:
 
 
 def _pow_node(a: Expr, b: Expr) -> Expr:
-    if _is_num(b, 1.0):
+    x, y = _const(a), _const(b)
+    if y == 1.0:
         return a
-    if _is_num(b, 0.0):
+    if y == 0.0:
         return Num(1.0)
-    if isinstance(a, Num) and isinstance(b, Num):
+    if x is not None and y is not None:
         try:
-            value = math.pow(a.value, b.value)
+            value = math.pow(x, y)
         except (ValueError, OverflowError):  # left a node, so evaluation names the fault
             value = math.nan
         if math.isfinite(value):
@@ -495,35 +518,4 @@ def _diff(e: Expr, var: str) -> Expr:
         return Num(0.0)
     if isinstance(e, Var):
         return Num(1.0 if e.name == var else 0.0)
-    if isinstance(e, Neg):
-        return _neg(_diff(e.arg, var))
-    if isinstance(e, Add):
-        return _add(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Sub):
-        return _sub(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Mul):
-        return _add(_mul(_diff(e.left, var), e.right), _mul(e.left, _diff(e.right, var)))
-    if isinstance(e, Div):
-        num = _sub(_mul(_diff(e.left, var), e.right), _mul(e.left, _diff(e.right, var)))
-        return _div(num, _pow_node(e.right, Num(2.0)))
-    if isinstance(e, Pow):
-        base, exponent = e.base, e.exponent
-        db = _diff(base, var)
-        if isinstance(exponent, Num):
-            # power rule: c * u^(c-1) * u'
-            return _mul(_mul(exponent, _pow_node(base, Num(exponent.value - 1.0))), db)
-        # general case u^w = exp(w log u); evaluation restricts to u > 0
-        dw = _diff(exponent, var)
-        bracket = _add(_mul(dw, Call("log", base)), _div(_mul(exponent, db), base))
-        return _mul(Pow(base, exponent), bracket)
-    if isinstance(e, Call):
-        da = _diff(e.arg, var)
-        if e.fn == "sin":
-            return _mul(Call("cos", e.arg), da)
-        if e.fn == "cos":
-            return _neg(_mul(Call("sin", e.arg), da))
-        if e.fn == "exp":
-            return _mul(Call("exp", e.arg), da)
-        if e.fn == "log":
-            return _div(da, e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    return _row(e).rule(e, var)

@@ -103,6 +103,8 @@ def _build_scale(data: dict) -> tuple[TimeScale, dict]:
         ts = build(*args)
     except DomainError as exc:
         raise ProblemFileError(key, str(exc)) from None
+    except (ValueError, IndexError, MemoryError):  # numpy refuses n samples as too many
+        raise ProblemFileError(key, "too many points to sample") from None
     meta["points"] = ts.points.tolist()
     return ts, meta
 
@@ -115,6 +117,8 @@ def _parse_lagrangian(data: dict, key: str) -> Lagrangian:
         return Lagrangian.from_expression(src)
     except ExpressionSyntaxError as exc:
         raise ProblemFileError(key, str(exc)) from None
+    except (RecursionError, SyntaxError):  # Python's nesting limits, in parsing or in compiling
+        raise ProblemFileError(key, "expression nested too deeply") from None
 
 
 def load_problem_dict(data: dict) -> LoadedProblem:
@@ -175,4 +179,6 @@ def load_problem(path: str | Path) -> LoadedProblem:
         raise ProblemFileError("<file>", f"not readable as text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ProblemFileError("<file>", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ProblemFileError("<file>", "JSON nested too deeply to read") from None
     return load_problem_dict(data)

@@ -62,7 +62,25 @@ def well_behaved_sample(rng: np.random.Generator, tree, bound: float = 1e3):
     return t, y, v
 
 
+def reference_source(tree) -> str:
+    """Python source of a tree with every compound node in its own
+    parentheses and a power as ``_pow(base, exponent)``: the reference
+    spelling of a compiled tree, written apart from the package's printer."""
+    if isinstance(tree, ex.Num):
+        return repr(tree.value)
+    if isinstance(tree, ex.Var):
+        return tree.name
+    if isinstance(tree, ex.Neg):
+        return f"(-{reference_source(tree.arg)})"
+    if isinstance(tree, ex.Pow):
+        return f"(_pow({reference_source(tree.base)}, {reference_source(tree.exponent)}))"
+    if isinstance(tree, ex.Call):
+        return f"({tree.fn}({reference_source(tree.arg)}))"
+    spelling = {ex.Add: " + ", ex.Sub: " - ", ex.Mul: "*", ex.Div: "/"}[type(tree)]
+    return f"({reference_source(tree.left)}{spelling}{reference_source(tree.right)})"
+
+
 def nested_array_function(tree):
     """A tree compiled for arrays as one nested Python expression, with no
     subtree shared: the reference a fused kernel must match bit for bit."""
-    return eval(f"lambda t, y, v: _broadcast({ex._py_source(tree)}, t, y, v)", ex._ARRAY_NAMESPACE)
+    return eval(f"lambda t, y, v: _broadcast({reference_source(tree)}, t, y, v)", ex._ARRAY_NAMESPACE)

@@ -18,6 +18,7 @@ from deltanabla import (
     Solution,
     Term,
     TermSumProblem,
+    TimeScale,
     delta_derivative,
     el_residual_2,
     load_problem,
@@ -291,6 +292,43 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys, argv, key):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {key}: " if key else "error: ")
     assert captured.err.count("\n") == 1
+
+
+def _interval(n):
+    return dict(EXAMPLE, timescale={"interval": {"a": 0.0, "b": 1.0, "n": n}})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000 + "]" * 100_000, "<file>: JSON nested too deeply to read"),
+        (json.dumps(dict(EXAMPLE, lagrangian_delta="(" * 300 + "v" + ")" * 300)),
+         "lagrangian_delta: expression nested too deeply"),
+        # parses and differentiates, but Python cannot compile the derivative
+        (json.dumps(dict(EXAMPLE, lagrangian_nabla="*".join(["v"] * 203))),
+         "lagrangian_nabla: expression nested too deeply"),
+        # sizes numpy refuses before it allocates anything
+        (json.dumps(_interval(10**20)), "timescale.interval: too many points to sample"),
+        (json.dumps(_interval(2**63)), "timescale.interval: too many points to sample"),
+    ],
+    ids=["deep-json", "deep-parentheses", "deep-derivative", "n-1e20", "n-2^63"],
+)
+def test_input_past_python_or_numpy_limits_is_an_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_sampling_that_runs_out_of_memory_is_an_input_error(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(TimeScale, "sampled_interval", refuse)
+    with pytest.raises(ProblemFileError, match=r"^timescale.interval: too many points to sample$"):
+        load_problem_dict(_interval(10**11))
 
 
 @pytest.mark.parametrize("name", [p.name for p in sorted(DEMO_PROBLEMS.glob("*.json"))])

@@ -1,13 +1,20 @@
 """Parsing, printing, evaluation, and symbolic differentiation."""
 
+import ast
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deltanabla import EvaluationError, ExpressionSyntaxError
 from deltanabla import expressions as ex
-from conftest import nested_array_function, random_expression, well_behaved_sample
+from deltanabla.variational import Lagrangian
+from conftest import nested_array_function, random_expression, reference_source, well_behaved_sample
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +123,17 @@ def test_round_trip_random():
         assert ex.parse(ex.to_source(tree)) == tree
 
 
+def test_binary_nodes_compare_hash_and_print_by_their_own_class():
+    a, b = ex.Var("t"), ex.Num(1.0)
+    nodes = [ex.Add(a, b), ex.Sub(a, b), ex.Mul(a, b), ex.Div(a, b)]
+    assert len(set(nodes)) == 4
+    assert nodes[0] == ex.Add(ex.Var("t"), ex.Num(1.0)) and nodes[0] != nodes[1]
+    assert all(hash(n) == hash((a, b)) for n in nodes)
+    assert repr(nodes[3]) == "Div(left=Var(name='t'), right=Num(value=1.0))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nodes[2].left = b
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -183,6 +201,71 @@ def test_array_compilation_matches_scalar_and_broadcasts():
         checked += 1
     constant = ex.compile_kernel((ex.parse("2"),))(np.zeros(3), 0.0, np.zeros((2, 1)))[0]
     assert constant.shape == (2, 3) and np.all(constant == 2.0)
+
+
+def test_compiled_source_is_the_fully_parenthesized_reference_as_python_syntax(monkeypatch):
+    # compile_expr parenthesizes only where precedence or associativity
+    # needs it: its source parses to the AST of the reference that puts
+    # every compound node in its own parentheses, so it compiles to the
+    # same code and computes the same bits
+    sources = []
+    monkeypatch.setattr(ex, "eval", lambda src, namespace: sources.append(src), raising=False)
+    rng = np.random.default_rng(12)
+    trees = [random_expression(rng) for _ in range(400)]
+    trees += [ex.parse(src) for src in CORPUS + ["t - (y - v)", "t/(y*v)", "(t^2)^3", "-(-t)", "(-t)^2", "-2*-y"]]
+    trees += [ex.Neg(ex.Num(-2.0)), ex.Sub(ex.Var("t"), ex.Num(-2.0)), ex.Pow(ex.Num(-2.0), ex.Var("v"))]
+    for tree in trees:
+        for e in (tree, ex.differentiate(tree, "y"), ex.differentiate(tree, "v")):
+            ex.compile_expr(e)
+            reference = ast.parse(f"lambda t, y, v: {reference_source(e)}")
+            assert ast.dump(ast.parse(sources.pop())) == ast.dump(reference), ex.to_source(e)
+
+
+# each family at the largest size that loaded when every compound node was
+# compiled in its own parentheses, and a sum of 300 terms
+DEEP = {
+    "sum": " + ".join(["v^2"] * 300),
+    "product": "*".join(["v"] * 101),
+    "negations": "-" * 198 + "v^2",
+    "parentheses": "(" * 197 + "v" + ")" * 197,
+    "power chain": "^".join(["v"] * 67),
+    "nested calls": "sin(" * 99 + "v" + ")" * 99,
+}
+
+
+def test_long_and_deeply_nested_expressions_load():
+    # in a fresh interpreter, with the stack of a top-level call: the
+    # parentheses case loads only while the parser spends at most five
+    # frames per level of nesting
+    script = "import sys\nfrom deltanabla.variational import Lagrangian\n" \
+             "for src in sys.stdin.read().splitlines(): Lagrangian.from_expression(src)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(ex.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], input="\n".join(DEEP.values()), env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_a_lagrangian_that_loads_names_its_fault_from_a_deeper_stack():
+    # naming a fault walks the tree with fewer frames per level than
+    # differentiating it did, so the longest sum that loads still names
+    # its fault when evaluated further down the stack, as solve does
+    def load(n):
+        try:
+            return Lagrangian.from_expression("log(y) + " + " + ".join(["v^2"] * n))
+        except RecursionError:
+            return None
+
+    loads, fails = 1, 1000
+    while fails - loads > 1:
+        mid = (loads + fails) // 2
+        loads, fails = (mid, fails) if load(mid) else (loads, mid)
+    lagrangian = load(loads)
+
+    def deeper(k):
+        return deeper(k - 1) if k else lagrangian(0.0, -1.0, 1.0)
+
+    with pytest.raises(EvaluationError, match=r"^log of non-positive value -1\.0 in 'log\(y\)'$"):
+        deeper(30)
 
 
 def test_kernel_matches_one_tree_functions_bit_for_bit():
